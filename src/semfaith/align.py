@@ -8,10 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
-from scipy.optimize import linear_sum_assignment
+from typing import Iterable, Sequence
 
 from .graph import SemanticGraph, yield_of
 
@@ -20,18 +17,49 @@ C_TO_S = "c_to_s"
 
 
 def edit_distance(a: str, b: str) -> int:
-    """Levenshtein distance with unit insert/delete/substitute costs."""
-    if a == b:
-        return 0
-    if len(a) < len(b):
-        a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[-1]
+    """Levenshtein distance with unit insert/delete/substitute costs.
+
+    Computed bit-parallel by Myers' bit-vector algorithm (Myers 1999, "A
+    fast bit-vector algorithm for approximate string matching based on
+    dynamic programming", JACM) in Hyyrö's form for the distance between
+    two whole strings (Hyyrö 2003); see ``_distances_from``.
+    """
+    return _distances_from(a, [b])[0]
+
+
+def _distances_from(a: str, others: Sequence[str]) -> list[int]:
+    """Levenshtein distance from ``a`` to each string in ``others``.
+
+    A column of the DP table is held as two bit vectors, the +1 and the -1
+    vertical deltas, in Python ints of len(a) bits, so each string costs one
+    pass over its characters whatever the length of ``a``.  The match masks
+    of ``a`` are built once for all of ``others``.
+    """
+    if not a:
+        return [len(b) for b in others]
+    peq: dict[str, int] = {}
+    for i, ch in enumerate(a):
+        peq[ch] = peq.get(ch, 0) | (1 << i)
+    mask = (1 << len(a)) - 1
+    last = 1 << (len(a) - 1)
+    out = []
+    for b in others:
+        pv, mv, dist = mask, 0, len(a)
+        for ch in b:
+            eq = peq.get(ch, 0)
+            xv = eq | mv
+            xh = (((eq & pv) + pv) ^ pv) | eq
+            ph = mv | ~(xh | pv)
+            mh = pv & xh
+            if ph & last:
+                dist += 1
+            elif mh & last:
+                dist -= 1
+            ph = (ph << 1) | 1
+            pv = ((mh << 1) | ~(xv | ph)) & mask
+            mv = ph & xv
+        out.append(dist)
+    return out
 
 
 @dataclass(frozen=True)
@@ -53,9 +81,12 @@ class LeafAlignment:
         return {j: i for i, j in sorted(self.pairs)}
 
 
-def _normalized_distance(a: str, b: str) -> float:
-    longest = max(len(a), len(b))
-    return edit_distance(a, b) / longest if longest else 0.0
+def _distinct(tokens: Sequence[str]) -> tuple[list[str], list[int]]:
+    """The distinct strings in first-seen order, and each token's index
+    into them."""
+    index: dict[str, int] = {}
+    ids = [index.setdefault(t, len(index)) for t in tokens]
+    return list(index), ids
 
 
 def align_leaves(
@@ -69,33 +100,39 @@ def align_leaves(
     Ties between minimum-cost assignments are broken toward pairs with small
     positional displacement |i - j|, then toward the lexicographically
     smallest pair list.  ``max_norm_dist`` optionally forbids pairs whose
-    normalized edit distance exceeds the threshold.
+    normalized edit distance exceeds the threshold.  Each distinct
+    (source string, correction string) pair has its distance computed once.
     """
     n, m = len(source_tokens), len(correction_tokens)
     if n == 0 or m == 0:
         return LeafAlignment(frozenset())
+    # Imported here so that commands which never align tokens do not pay
+    # for loading scipy.optimize.
+    import numpy as np
+    from scipy.optimize import linear_sum_assignment
+
     src = [t.lower() for t in source_tokens] if lowercase else list(source_tokens)
     dst = [t.lower() for t in correction_tokens] if lowercase else list(correction_tokens)
-
-    dist = [[edit_distance(a, b) for b in dst] for a in src]
-    pruned = [[False] * m for _ in range(n)]
-    if max_norm_dist is not None:
-        for i in range(n):
-            for j in range(m):
-                if _normalized_distance(src[i], dst[j]) > max_norm_dist:
-                    pruned[i][j] = True
+    src_strings, src_ids = _distinct(src)
+    dst_strings, dst_ids = _distinct(dst)
+    table = np.array([_distances_from(a, dst_strings) for a in src_strings], dtype=np.int64)
+    rows_of, cols_of = np.ix_(src_ids, dst_ids)
+    dist = table[rows_of, cols_of]
+    if max_norm_dist is None:
+        pruned = np.zeros((n, m), dtype=bool)
+    else:
+        longest = np.maximum.outer([len(a) for a in src_strings], [len(b) for b in dst_strings])
+        norm = np.divide(table, longest, out=np.zeros(longest.shape), where=longest > 0)
+        pruned = (norm > max_norm_dist)[rows_of, cols_of]
 
     # Composite integer cost: edit distance first, |i - j| as tie-breaker.
     shift_unit = min(n, m) * max(n, m) + 1
-    max_dist = max(max(row) for row in dist)
-    forbidden = (max_dist + 1) * shift_unit * min(n, m) + 1
-    cost = np.empty((n, m), dtype=np.int64)
-    for i in range(n):
-        for j in range(m):
-            cost[i, j] = forbidden if pruned[i][j] else dist[i][j] * shift_unit + abs(i - j)
+    forbidden = (int(dist.max()) + 1) * shift_unit * min(n, m) + 1
+    shift = np.abs(np.subtract.outer(np.arange(n), np.arange(m)))
+    cost = np.where(pruned, forbidden, dist * shift_unit + shift)
     rows, cols = linear_sum_assignment(cost)
-    pairs = [(int(i), int(j)) for i, j in zip(rows, cols) if not pruned[i][j]]
-    pairs = _canonicalize(pairs, dist)
+    pairs = [(int(i), int(j)) for i, j in zip(rows, cols) if not pruned[i, j]]
+    pairs = _canonicalize(pairs, dist.tolist())
     return LeafAlignment(frozenset(pairs))
 
 
@@ -190,11 +227,22 @@ def extend_alignment(
         token_map = leaf_alignment.source_to_correction()
     else:
         token_map = leaf_alignment.correction_to_source()
-    oriented_pairs = sorted(token_map.items())
-
-    aligned_leaves = g_aligned.anchored_leaves()
     target_leaves = g_target.anchored_leaves()
 
+    # Target nodes with equal yields tie on weight and yield size, so each
+    # distinct non-empty target yield has one candidate: its smallest id.
+    candidates: dict[frozenset[int], str] = {}
+    for target_node in g_target.nodes:
+        u = target_node.id
+        yu = yield_of(g_target, u)
+        if yu and (yu not in candidates or u < candidates[yu]):
+            candidates[yu] = u
+    # Preference order among equal weights: larger yield, then smaller id.
+    targets = sorted(
+        (-len(yu), u, sum(1 << b for b in yu)) for yu, u in candidates.items()
+    )
+
+    best_by_yield: dict[frozenset[int], tuple[str, Fraction] | None] = {}
     mapping: list[tuple[str, str]] = []
     weights: list[tuple[tuple[str, str], Fraction]] = []
     for node in g_aligned.nodes:
@@ -207,22 +255,43 @@ def extend_alignment(
             continue
         if not g_aligned.children_of(node.id):
             continue  # implicit unit
-        best: tuple[Fraction, int, str] | None = None
-        for target_node in g_target.nodes:
-            u = target_node.id
-            w = node_weight(node.id, u, oriented_pairs, g_aligned, g_target)
-            if w == 0:
-                continue
-            key = (-w, -len(yield_of(g_target, u)), u)
-            if best is None or key < best:
-                best = key
+        yv = yield_of(g_aligned, node.id)
+        if yv not in best_by_yield:
+            best_by_yield[yv] = _best_target(yv, token_map, targets)
+        best = best_by_yield[yv]
         if best is not None:
-            pair = (node.id, best[2])
+            pair = (node.id, best[0])
             mapping.append(pair)
-            weights.append((pair, -best[0]))
+            weights.append((pair, best[1]))
     mapping.sort()
     weights.sort()
     return NodeAlignment(direction, tuple(mapping), tuple(weights))
+
+
+def _best_target(
+    yv: frozenset[int],
+    token_map: dict[int, int],
+    targets: list[tuple[int, str, int]],
+) -> tuple[str, Fraction] | None:
+    """The target with maximal positive weight |partners(yv) & yu| / |yu|,
+    the first in ``targets`` order among equal weights.  ``targets`` holds
+    (-|yu|, id, token bitmask of yu); weights are compared exactly by
+    cross-multiplying hits and yield sizes."""
+    partners = 0
+    for a in yv:
+        b = token_map.get(a)
+        if b is not None:
+            partners |= 1 << b
+    if not partners:
+        return None
+    best_hits, best_size, best_id = 0, 1, None
+    for neg_size, u, yu in targets:
+        hits = (partners & yu).bit_count()
+        if hits * best_size > best_hits * -neg_size:
+            best_hits, best_size, best_id = hits, -neg_size, u
+    if best_id is None:
+        return None
+    return best_id, Fraction(best_hits, best_size)
 
 
 def format_alignment_dump(

@@ -215,6 +215,8 @@ def _load_groups(path: str) -> list[tuple[str, frozenset[str]]]:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise GraphFormatError(f"cannot read groups file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"groups file {path}: not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"groups file {path}: invalid JSON: {exc.msg}") from exc
     if not isinstance(doc, dict) or not all(

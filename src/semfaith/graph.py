@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 class GraphFormatError(ValueError):
@@ -327,7 +326,10 @@ def graph_to_dict(g: SemanticGraph) -> dict:
 
 def parse_graph(data: bytes | str) -> SemanticGraph:
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"not UTF-8: {exc}") from exc
     try:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
@@ -365,6 +367,8 @@ def iter_corpus(path: str | Path) -> Iterator[SemanticGraph]:
             text = path.read_text(encoding="utf-8")
         except OSError as exc:
             raise GraphFormatError(f"cannot read {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"{path}: not UTF-8: {exc}") from exc
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue

@@ -150,6 +150,8 @@ def read_edit_corpus(path: str | Path) -> list[tuple[str, list[str], list[EditOp
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise HarnessError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise HarnessError(f"{path}: not UTF-8: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -232,6 +234,8 @@ def load_manifest(path: str | Path) -> list[VersionChain]:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise HarnessError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise HarnessError(f"{path}: not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise HarnessError(f"{path}: invalid JSON: {exc.msg}") from exc
     return chains_from_manifest(doc)

@@ -13,7 +13,6 @@ from .align import (
     C_TO_S,
     S_TO_C,
     LeafAlignment,
-    NodeAlignment,
     align_leaves,
     extend_alignment,
 )
@@ -116,34 +115,20 @@ def match_edges(
     parent nodes to be paired.
     """
     pairs = set(alignment)
-    out: set[tuple[EdgeInstance, EdgeInstance]] = set()
-    by_label: dict[str, list[EdgeInstance]] = {}
+    partners: dict[str, list[str]] = {}
+    for s_node, c_node in pairs:
+        partners.setdefault(s_node, []).append(c_node)
+    by_label_child: dict[tuple[str, str], list[EdgeInstance]] = {}
     for ci in edge_instances(g_c, include_remote):
-        by_label.setdefault(ci.label, []).append(ci)
+        by_label_child.setdefault((ci.label, ci.child), []).append(ci)
+    out: set[tuple[EdgeInstance, EdgeInstance]] = set()
     for si in edge_instances(g_s, include_remote):
-        for ci in by_label.get(si.label, ()):
-            if (si.child, ci.child) not in pairs:
-                continue
-            if strict_parent and (si.parent, ci.parent) not in pairs:
-                continue
-            out.add((si, ci))
+        for c_child in partners.get(si.child, ()):
+            for ci in by_label_child.get((si.label, c_child), ()):
+                if strict_parent and (si.parent, ci.parent) not in pairs:
+                    continue
+                out.add((si, ci))
     return out
-
-
-def _directional_counts(
-    g_s: SemanticGraph,
-    g_c: SemanticGraph,
-    alignment: Iterable[tuple[str, str]],
-    include_remote: bool,
-    strict_parent: bool,
-) -> ScoreTriple:
-    matches = match_edges(g_s, g_c, alignment, include_remote, strict_parent)
-    matched_s = {si for si, _ in matches}
-    matched_c = {ci for _, ci in matches}
-    inst_s = edge_instances(g_s, include_remote)
-    inst_c = edge_instances(g_c, include_remote)
-    # precision over the correction side, recall over the source side
-    return _triple(len(matched_c), len(inst_c), len(matched_s), len(inst_s))
 
 
 def usim_from_alignment(
@@ -155,7 +140,31 @@ def usim_from_alignment(
 ) -> ScoreTriple:
     """Score a pair under an externally supplied node alignment, given as
     (source node, correction node) pairs."""
-    return _directional_counts(g_s, g_c, alignment, include_remote, strict_parent)
+    matches = match_edges(g_s, g_c, alignment, include_remote, strict_parent)
+    matched_s = {si for si, _ in matches}
+    matched_c = {ci for _, ci in matches}
+    inst_s = edge_instances(g_s, include_remote)
+    inst_c = edge_instances(g_c, include_remote)
+    # precision over the correction side, recall over the source side
+    return _triple(len(matched_c), len(inst_c), len(matched_s), len(inst_s))
+
+
+def _score_direction(
+    g_s: SemanticGraph,
+    g_c: SemanticGraph,
+    leaf_alignment: LeafAlignment,
+    direction: str,
+    include_remote: bool,
+    strict_parent: bool,
+) -> ScoreTriple:
+    if direction == S_TO_C:
+        pairs = extend_alignment(g_s, g_c, leaf_alignment, direction).pair_set()
+    elif direction == C_TO_S:
+        node_alignment = extend_alignment(g_c, g_s, leaf_alignment, direction)
+        pairs = frozenset((s, c) for c, s in node_alignment.mapping)
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
+    return usim_from_alignment(g_s, g_c, pairs, include_remote, strict_parent)
 
 
 def usim_directed(
@@ -177,15 +186,7 @@ def usim_directed(
         g_s.token_texts(), g_c.token_texts(),
         lowercase=lowercase, max_norm_dist=max_norm_dist,
     )
-    if direction == S_TO_C:
-        node_alignment = extend_alignment(g_s, g_c, a_l, direction)
-        pairs = node_alignment.pair_set()
-    elif direction == C_TO_S:
-        node_alignment = extend_alignment(g_c, g_s, a_l, direction)
-        pairs = frozenset((s, c) for c, s in node_alignment.mapping)
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    return _directional_counts(g_s, g_c, pairs, include_remote, strict_parent)
+    return _score_direction(g_s, g_c, a_l, direction, include_remote, strict_parent)
 
 
 def usim(
@@ -196,15 +197,17 @@ def usim(
     strict_parent: bool = False,
     max_norm_dist: float | None = None,
 ) -> UsimReport:
-    """USim in both alignment directions plus their average F-score."""
-    kwargs = dict(
-        lowercase=lowercase,
-        include_remote=include_remote,
-        strict_parent=strict_parent,
-        max_norm_dist=max_norm_dist,
+    """USim in both alignment directions plus their average F-score.
+
+    The leaf alignment does not depend on the direction, so it is computed
+    once and lifted to a node alignment in each direction.
+    """
+    a_l = align_leaves(
+        g_s.token_texts(), g_c.token_texts(),
+        lowercase=lowercase, max_norm_dist=max_norm_dist,
     )
-    forward = usim_directed(g_s, g_c, S_TO_C, **kwargs)
-    backward = usim_directed(g_s, g_c, C_TO_S, **kwargs)
+    forward = _score_direction(g_s, g_c, a_l, S_TO_C, include_remote, strict_parent)
+    backward = _score_direction(g_s, g_c, a_l, C_TO_S, include_remote, strict_parent)
     average = (forward.f_score + backward.f_score) / 2
     return UsimReport(forward, backward, average)
 

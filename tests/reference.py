@@ -1,0 +1,139 @@
+"""Reference implementations that the optimized code is tested against.
+
+Each is the straightforward form of its algorithm: a full dynamic-programming
+table for the edit distance, one such distance per token pair for the token
+alignment, a ``node_weight`` evaluation for every (node, target) pair for
+the node alignment, and a scan of every same-label edge-instance pair for
+the edge matching.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Iterable
+
+from semfaith import (
+    S_TO_C,
+    EdgeInstance,
+    LeafAlignment,
+    NodeAlignment,
+    SemanticGraph,
+    edge_instances,
+    node_weight,
+    yield_of,
+)
+
+
+def edit_distance_dp(a: str, b: str) -> int:
+    """Levenshtein distance with unit costs, one DP row at a time."""
+    if a == b:
+        return 0
+    if len(a) < len(b):
+        a, b = b, a
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        cur = [i]
+        for j, cb in enumerate(b, start=1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
+        prev = cur
+    return prev[-1]
+
+
+def extend_alignment_scan(
+    g_aligned: SemanticGraph,
+    g_target: SemanticGraph,
+    leaf_alignment: LeafAlignment,
+    direction: str,
+) -> NodeAlignment:
+    """Node alignment by the ``node_weight`` argmax over every target node,
+    tie-broken by (-weight, -|target yield|, target id)."""
+    if direction == S_TO_C:
+        token_map = leaf_alignment.source_to_correction()
+    else:
+        token_map = leaf_alignment.correction_to_source()
+    oriented_pairs = sorted(token_map.items())
+    target_leaves = g_target.anchored_leaves()
+    mapping = []
+    weights = []
+    for node in g_aligned.nodes:
+        if node.anchor is not None:
+            partner = token_map.get(node.anchor)
+            if partner is not None:
+                pair = (node.id, target_leaves[partner])
+                mapping.append(pair)
+                weights.append((pair, Fraction(1)))
+            continue
+        if not g_aligned.children_of(node.id):
+            continue  # implicit unit
+        best = None
+        for target_node in g_target.nodes:
+            u = target_node.id
+            w = node_weight(node.id, u, oriented_pairs, g_aligned, g_target)
+            if w == 0:
+                continue
+            key = (-w, -len(yield_of(g_target, u)), u)
+            if best is None or key < best:
+                best = key
+        if best is not None:
+            pair = (node.id, best[2])
+            mapping.append(pair)
+            weights.append((pair, -best[0]))
+    mapping.sort()
+    weights.sort()
+    return NodeAlignment(direction, tuple(mapping), tuple(weights))
+
+
+def match_edges_scan(
+    g_s: SemanticGraph,
+    g_c: SemanticGraph,
+    alignment: Iterable[tuple[str, str]],
+    include_remote: bool = True,
+    strict_parent: bool = False,
+) -> set[tuple[EdgeInstance, EdgeInstance]]:
+    """Every same-label (source, correction) instance pair whose children
+    (and, with ``strict_parent``, parents) are paired."""
+    pairs = set(alignment)
+    inst_c = edge_instances(g_c, include_remote)
+    out = set()
+    for si in edge_instances(g_s, include_remote):
+        for ci in inst_c:
+            if si.label != ci.label or (si.child, ci.child) not in pairs:
+                continue
+            if strict_parent and (si.parent, ci.parent) not in pairs:
+                continue
+            out.add((si, ci))
+    return out
+
+
+def align_leaves_loops(
+    source_tokens, correction_tokens, lowercase=False, max_norm_dist=None
+) -> LeafAlignment:
+    """Token pairing with one DP distance per token pair, a second one for
+    the ``max_norm_dist`` pruning, and the cost matrix filled cell by cell."""
+    import numpy as np
+    from scipy.optimize import linear_sum_assignment
+
+    from semfaith.align import _canonicalize
+
+    n, m = len(source_tokens), len(correction_tokens)
+    if n == 0 or m == 0:
+        return LeafAlignment(frozenset())
+    src = [t.lower() for t in source_tokens] if lowercase else list(source_tokens)
+    dst = [t.lower() for t in correction_tokens] if lowercase else list(correction_tokens)
+    dist = [[edit_distance_dp(a, b) for b in dst] for a in src]
+    pruned = [[False] * m for _ in range(n)]
+    if max_norm_dist is not None:
+        for i in range(n):
+            for j in range(m):
+                longest = max(len(src[i]), len(dst[j]))
+                norm = edit_distance_dp(src[i], dst[j]) / longest if longest else 0.0
+                pruned[i][j] = norm > max_norm_dist
+    shift_unit = min(n, m) * max(n, m) + 1
+    max_dist = max(max(row) for row in dist)
+    forbidden = (max_dist + 1) * shift_unit * min(n, m) + 1
+    cost = np.empty((n, m), dtype=np.int64)
+    for i in range(n):
+        for j in range(m):
+            cost[i, j] = forbidden if pruned[i][j] else dist[i][j] * shift_unit + abs(i - j)
+    rows, cols = linear_sum_assignment(cost)
+    pairs = [(int(i), int(j)) for i, j in zip(rows, cols) if not pruned[i][j]]
+    return LeafAlignment(frozenset(_canonicalize(pairs, dist)))

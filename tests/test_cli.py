@@ -270,3 +270,46 @@ def test_help_maege_gen(capsys):
         main(["maege", "gen", "--help"])
     out = capsys.readouterr().out
     assert "--seed" in out and "--out" in out and "--pin-source" in out
+
+
+# -- non-UTF-8 input ---------------------------------------------------------
+
+NOT_UTF8 = b'{"id": "caf\xe9"}\n'  # Latin-1 bytes
+
+
+def test_score_non_utf8_graph(fig1_files, tmp_path, capsys):
+    src, _ = fig1_files
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(NOT_UTF8)
+    assert main(["score", src, str(bad)]) == 3
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_corpus_non_utf8_stream(tmp_path, capsys):
+    src = write_graph(tmp_path / "src.jsonl", fig1_source())
+    bad = tmp_path / "cor.jsonl"
+    bad.write_bytes(NOT_UTF8)
+    assert main(["corpus", src, str(bad)]) == 3
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_distsim_non_utf8_groups(tmp_path, capsys):
+    src = write_graph(tmp_path / "src.jsonl", fig1_source())
+    groups = tmp_path / "groups.json"
+    groups.write_bytes(NOT_UTF8)
+    assert main(["distsim", src, src, "--groups", str(groups)]) == 3
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_maege_gen_non_utf8_edit_corpus(tmp_path, capsys):
+    bad = tmp_path / "edits.jsonl"
+    bad.write_bytes(NOT_UTF8)
+    assert main(["maege", "gen", str(bad), "--out", str(tmp_path / "m.json")]) == 3
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_maege_score_non_utf8_manifest(tmp_path, capsys):
+    bad = tmp_path / "m.json"
+    bad.write_bytes(NOT_UTF8)
+    assert main(["maege", "score", str(bad), str(tmp_path)]) == 3
+    assert "not UTF-8" in capsys.readouterr().err

@@ -18,6 +18,7 @@ from semfaith import (
     C_TO_S,
     S_TO_C,
     TokenMismatchError,
+    align_leaves,
     dag_fscore,
     distsim,
     edge_instances,
@@ -315,3 +316,46 @@ def test_distsim_reorder_invariant():
 def test_distsim_empty_pairs_rejected():
     with pytest.raises(ValueError):
         distsim([])
+
+
+# -- work counts -------------------------------------------------------------
+
+
+def test_usim_aligns_leaves_once_per_pair(monkeypatch):
+    import semfaith.measures
+
+    calls = []
+    real = semfaith.measures.align_leaves
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(semfaith.measures, "align_leaves", counting)
+    rng = random.Random(61)
+    pairs = [(random_valid_graph(rng, "s"), random_valid_graph(rng, "c")) for _ in range(5)]
+    for g_s, g_c in pairs:
+        usim(g_s, g_c, max_norm_dist=0.5)
+    assert len(calls) == len(pairs)
+
+
+def test_align_leaves_one_distance_per_distinct_string_pair(monkeypatch):
+    import semfaith.align
+
+    calls = []
+    real = semfaith.align._distances_from
+
+    def counting(a, others):
+        calls.extend((a, b) for b in others)
+        return real(a, others)
+
+    monkeypatch.setattr(semfaith.align, "_distances_from", counting)
+    src = ["the", "cat", "The", "cat", "sat", "the"]
+    cor = ["the", "cats", "sat", "the", "Sat"]
+    for lowercase in (False, True):
+        for max_norm_dist in (None, 0.4):
+            calls.clear()
+            align_leaves(src, cor, lowercase=lowercase, max_norm_dist=max_norm_dist)
+            norm = str.lower if lowercase else str
+            expected = {(norm(a), norm(b)) for a in src for b in cor}
+            assert sorted(calls) == sorted(expected)
