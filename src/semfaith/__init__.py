@@ -20,7 +20,6 @@ from .graph import (
     GraphValidationError,
     Node,
     SemanticGraph,
-    Token,
     edge_instances,
     graph_from_dict,
     graph_to_dict,

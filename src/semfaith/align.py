@@ -168,13 +168,18 @@ class NodeAlignment:
     """Partial many-to-1 map from one graph's nodes onto the other's.
 
     ``direction`` names which side is being aligned: ``s_to_c`` maps source
-    nodes onto correction nodes, ``c_to_s`` the reverse.  ``weights`` carries
-    the yield-overlap weight of each mapped pair (1 for leaf pairs).
+    nodes onto correction nodes, ``c_to_s`` the reverse.  ``weights`` holds
+    each mapped (aligned, target) pair, sorted, with its yield-overlap weight
+    (1 for leaf pairs); an aligned node appears in at most one pair.
     """
 
     direction: str
-    mapping: tuple[tuple[str, str], ...]
-    weights: tuple[tuple[tuple[str, str], Fraction], ...] = ()
+    weights: tuple[tuple[tuple[str, str], Fraction], ...]
+
+    @property
+    def mapping(self) -> tuple[tuple[str, str], ...]:
+        """The mapped (aligned, target) pairs, sorted."""
+        return tuple(pair for pair, _ in self.weights)
 
     def as_dict(self) -> dict[str, str]:
         return dict(self.mapping)
@@ -243,15 +248,12 @@ def extend_alignment(
     )
 
     best_by_yield: dict[frozenset[int], tuple[str, Fraction] | None] = {}
-    mapping: list[tuple[str, str]] = []
     weights: list[tuple[tuple[str, str], Fraction]] = []
     for node in g_aligned.nodes:
         if node.anchor is not None:
             partner = token_map.get(node.anchor)
             if partner is not None:
-                pair = (node.id, target_leaves[partner])
-                mapping.append(pair)
-                weights.append((pair, Fraction(1)))
+                weights.append(((node.id, target_leaves[partner]), Fraction(1)))
             continue
         if not g_aligned.children_of(node.id):
             continue  # implicit unit
@@ -260,12 +262,9 @@ def extend_alignment(
             best_by_yield[yv] = _best_target(yv, token_map, targets)
         best = best_by_yield[yv]
         if best is not None:
-            pair = (node.id, best[0])
-            mapping.append(pair)
-            weights.append((pair, best[1]))
-    mapping.sort()
+            weights.append(((node.id, best[0]), best[1]))
     weights.sort()
-    return NodeAlignment(direction, tuple(mapping), tuple(weights))
+    return NodeAlignment(direction, tuple(weights))
 
 
 def _best_target(
@@ -307,8 +306,6 @@ def format_alignment_dump(
         cost = edit_distance(source_tokens[i], correction_tokens[j])
         lines.append(f"{i}\t{j}\t{source_tokens[i]}\t{correction_tokens[j]}\t{cost}")
     lines.append(f"# node pairs ({node_alignment.direction}): aligned, target, weight")
-    weight_by_pair = dict(node_alignment.weights)
-    for pair in node_alignment.mapping:
-        w = weight_by_pair[pair]
-        lines.append(f"{pair[0]}\t{pair[1]}\t{w.numerator}/{w.denominator}")
+    for (v, u), w in node_alignment.weights:
+        lines.append(f"{v}\t{u}\t{w.numerator}/{w.denominator}")
     return "\n".join(lines) + "\n"

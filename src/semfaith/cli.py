@@ -6,7 +6,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -76,12 +75,12 @@ _PAIR_COLUMNS = [
 ]
 
 
-def _pair_row(pair_id: str, report: UsimReport) -> list[str]:
+def _pair_values(report: UsimReport) -> list[Fraction]:
+    """The scores of one pair, in ``_PAIR_COLUMNS[1:]`` order."""
     return [
-        pair_id,
-        _fmt(report.s_to_c.precision), _fmt(report.s_to_c.recall), _fmt(report.s_to_c.f_score),
-        _fmt(report.c_to_s.precision), _fmt(report.c_to_s.recall), _fmt(report.c_to_s.f_score),
-        _fmt(report.average),
+        report.s_to_c.precision, report.s_to_c.recall, report.s_to_c.f_score,
+        report.c_to_s.precision, report.c_to_s.recall, report.c_to_s.f_score,
+        report.average,
     ]
 
 
@@ -99,6 +98,26 @@ def _score_kwargs(args: argparse.Namespace) -> dict:
         "strict_parent": args.strict_parent,
         "max_norm_dist": args.max_norm_dist,
     }
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not value >= 0:  # also false for NaN
+        raise argparse.ArgumentTypeError(f"must be a non-negative number, got {text!r}")
+    return value
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -120,7 +139,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         "(default: child and label only)",
     )
     parser.add_argument(
-        "--max-norm-dist", type=float, default=None, metavar="0..1",
+        "--max-norm-dist", type=_non_negative_float, default=None, metavar="0..1",
         help="forbid token pairs whose normalized edit distance exceeds this "
         "(default: no threshold)",
     )
@@ -173,39 +192,22 @@ def _paired_corpora(source_path: str, correction_path: str):
 def cmd_corpus(args: argparse.Namespace) -> int:
     pairs = _paired_corpora(args.source, args.correction)
     kwargs = _score_kwargs(args)
-
-    def score(pair):
-        pair_id, g_s, g_c = pair
-        return pair_id, usim(g_s, g_c, **kwargs)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(score, pairs))
-    else:
-        results = [score(pair) for pair in pairs]
+    results = [(pair_id, usim(g_s, g_c, **kwargs)) for pair_id, g_s, g_c in pairs]
 
     n = len(results)
-    agg = {
-        "s_to_c_p": sum(r.s_to_c.precision for _, r in results) / n,
-        "s_to_c_r": sum(r.s_to_c.recall for _, r in results) / n,
-        "s_to_c_f": sum(r.s_to_c.f_score for _, r in results) / n,
-        "c_to_s_p": sum(r.c_to_s.precision for _, r in results) / n,
-        "c_to_s_r": sum(r.c_to_s.recall for _, r in results) / n,
-        "c_to_s_f": sum(r.c_to_s.f_score for _, r in results) / n,
-        "average": sum(r.average for _, r in results) / n,
-    }
+    agg = [_fmt(sum(column) / n) for column in zip(*(_pair_values(r) for _, r in results))]
     if args.format == "json-lines":
         lines = [json.dumps(_report_dict(pair_id, r), sort_keys=True)
                  for pair_id, r in results]
         lines.append(json.dumps(
-            {"aggregate": True, "pairs": n,
-             **{k: _fmt(v) for k, v in agg.items()}},
+            {"aggregate": True, "pairs": n, **dict(zip(_PAIR_COLUMNS[1:], agg))},
             sort_keys=True,
         ))
     else:
         lines = ["\t".join(_PAIR_COLUMNS)]
-        lines.extend("\t".join(_pair_row(pair_id, r)) for pair_id, r in results)
-        lines.append("\t".join(["<aggregate>"] + [_fmt(agg[c]) for c in _PAIR_COLUMNS[1:]]))
+        lines.extend("\t".join([pair_id] + [_fmt(v) for v in _pair_values(r)])
+                     for pair_id, r in results)
+        lines.append("\t".join(["<aggregate>"] + agg))
     _write_output("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -320,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("correction", help="correction corpus (directory or .jsonl)")
     _add_common_flags(p)
     p.add_argument(
-        "--jobs", type=int, default=1,
-        help="score pairs with this many worker threads (default: 1)",
+        "--jobs", type=_positive_int, default=1,
+        help="accepted for compatibility; pairs are scored in one thread",
     )
     p.set_defaults(func=cmd_corpus)
 

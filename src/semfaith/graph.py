@@ -23,12 +23,6 @@ class GraphValidationError(ValueError):
 
 
 @dataclass(frozen=True)
-class Token:
-    index: int
-    text: str
-
-
-@dataclass(frozen=True)
 class Node:
     id: str
     anchor: int | None = None  # token index for anchored leaves
@@ -55,16 +49,22 @@ class EdgeInstance:
 @dataclass(frozen=True)
 class SemanticGraph:
     id: str
-    tokens: tuple[Token, ...]
+    tokens: tuple[str, ...]
     nodes: tuple[Node, ...]
     edges: tuple[Edge, ...]
     root: str
-    # filled in by validate(); keyed by node id
+    # Derived state, not constructor arguments, so that dataclasses.replace()
+    # starts the new graph with empty stores.  _yields and _children are
+    # filled in by _validate(), keyed by node id; _instances by
+    # edge_instances() on first use, keyed by include_remote.
     _yields: dict[str, frozenset[int]] = field(
-        default_factory=dict, compare=False, repr=False
+        default_factory=dict, init=False, compare=False, repr=False
     )
     _children: dict[str, tuple[str, ...]] = field(
-        default_factory=dict, compare=False, repr=False
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+    _instances: dict[bool, tuple[EdgeInstance, ...]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
     )
 
     def __post_init__(self) -> None:
@@ -74,11 +74,7 @@ class SemanticGraph:
 
     def _validate(self) -> None:
         for i, tok in enumerate(self.tokens):
-            if tok.index != i:
-                raise GraphValidationError(
-                    f"graph {self.id!r}: token at position {i} has index {tok.index}"
-                )
-            if not tok.text:
+            if not tok:
                 raise GraphValidationError(
                     f"graph {self.id!r}: token {i} has empty text"
                 )
@@ -209,8 +205,7 @@ class SemanticGraph:
         return self._children[node_id]
 
     def token_texts(self, lowercase: bool = False) -> list[str]:
-        texts = [t.text for t in self.tokens]
-        return [t.lower() for t in texts] if lowercase else texts
+        return [t.lower() for t in self.tokens] if lowercase else list(self.tokens)
 
     def anchored_leaves(self) -> dict[int, str]:
         """Token index -> id of the leaf anchoring it."""
@@ -227,16 +222,22 @@ def yield_of(g: SemanticGraph, node_id: str) -> frozenset[int]:
 
 def edge_instances(
     g: SemanticGraph, include_remote: bool = True
-) -> list[EdgeInstance]:
-    """Expand multi-label edges into single-label instances, in stable order."""
-    out = [
-        EdgeInstance(e.parent, e.child, label, e.remote)
-        for e in g.edges
-        if include_remote or not e.remote
-        for label in e.labels
-    ]
-    out.sort(key=lambda inst: (inst.parent, inst.child, inst.label))
-    return out
+) -> tuple[EdgeInstance, ...]:
+    """Expand multi-label edges into single-label instances, in stable order.
+
+    Built once per graph and flag value, then stored on the graph.
+    """
+    cached = g._instances.get(include_remote)
+    if cached is None:
+        out = [
+            EdgeInstance(e.parent, e.child, label, e.remote)
+            for e in g.edges
+            if include_remote or not e.remote
+            for label in e.labels
+        ]
+        out.sort(key=lambda inst: (inst.parent, inst.child, inst.label))
+        cached = g._instances[include_remote] = tuple(out)
+    return cached
 
 
 def label_counts(
@@ -269,12 +270,10 @@ def graph_from_dict(doc: dict) -> SemanticGraph:
         raise GraphFormatError(f"document must be an object, got {type(doc).__name__}")
     gid = _require(doc, "id", str, "document")
     where = f"graph {gid!r}"
-    raw_tokens = _require(doc, "tokens", list, where)
-    tokens = []
-    for i, text in enumerate(raw_tokens):
+    tokens = _require(doc, "tokens", list, where)
+    for i, text in enumerate(tokens):
         if not isinstance(text, str):
             raise GraphFormatError(f"{where}: tokens[{i}] must be a string")
-        tokens.append(Token(i, text))
     nodes = []
     for i, raw in enumerate(_require(doc, "nodes", list, where)):
         if not isinstance(raw, dict):
@@ -317,7 +316,7 @@ def graph_to_dict(g: SemanticGraph) -> dict:
         edges.append(entry)
     return {
         "id": g.id,
-        "tokens": [t.text for t in g.tokens],
+        "tokens": list(g.tokens),
         "nodes": nodes,
         "edges": edges,
         "root": g.root,

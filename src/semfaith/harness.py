@@ -142,10 +142,34 @@ def version_id(sentence_id: str, position: int) -> str:
 # -- edit corpus and manifest I/O -----------------------------------------
 
 
+def _strings(value, what: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise TypeError(f"{what} must be a list of strings")
+    return tuple(value)
+
+
+def _edit_from_dict(e) -> EditOperation:
+    return EditOperation(
+        e["start"], e["end"], _strings(e["replacement"], "replacement"), e["type"]
+    )
+
+
+def _claim_sentence_id(sid, seen: set[str], where: str) -> str:
+    """Check that ``sid`` can name the graph files ``<sid>.v<k>.json``: a
+    plain file-name part that no earlier record in ``seen`` uses."""
+    if not isinstance(sid, str) or sid in ("", ".", "..") or "/" in sid or "\\" in sid:
+        raise HarnessError(f"{where}: sentence_id {sid!r} is not a plain file-name part")
+    if sid in seen:
+        raise HarnessError(f"{where}: duplicate sentence_id {sid!r}")
+    seen.add(sid)
+    return sid
+
+
 def read_edit_corpus(path: str | Path) -> list[tuple[str, list[str], list[EditOperation]]]:
     """Newline-delimited records {sentence_id, tokens, edits:[...]}."""
     path = Path(path)
     out = []
+    seen: set[str] = set()
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -155,22 +179,18 @@ def read_edit_corpus(path: str | Path) -> list[tuple[str, list[str], list[EditOp
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
+        where = f"{path} line {lineno}"
         try:
             doc = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise HarnessError(f"{path} line {lineno}: invalid JSON: {exc.msg}") from exc
+            raise HarnessError(f"{where}: invalid JSON: {exc.msg}") from exc
         try:
             sid = doc["sentence_id"]
-            tokens = list(doc["tokens"])
-            edits = [
-                EditOperation(
-                    e["start"], e["end"], tuple(e["replacement"]), e["type"]
-                )
-                for e in doc["edits"]
-            ]
+            tokens = list(_strings(doc["tokens"], "tokens"))
+            edits = [_edit_from_dict(e) for e in doc["edits"]]
         except (KeyError, TypeError) as exc:
-            raise HarnessError(f"{path} line {lineno}: bad record: {exc}") from exc
-        out.append((sid, tokens, edits))
+            raise HarnessError(f"{where}: bad record: {exc}") from exc
+        out.append((_claim_sentence_id(sid, seen, where), tokens, edits))
     return out
 
 
@@ -203,18 +223,19 @@ def manifest_to_dict(chains: Sequence[VersionChain]) -> dict:
 
 
 def chains_from_manifest(doc: dict) -> list[VersionChain]:
+    seen: set[str] = set()
     try:
-        tokens_by_vid = {v["version_id"]: tuple(v["tokens"]) for v in doc["versions"]}
+        tokens_by_vid = {
+            v["version_id"]: _strings(v["tokens"], "tokens") for v in doc["versions"]
+        }
         chains = []
         for c in doc["chains"]:
+            sid = _claim_sentence_id(c["sentence_id"], seen, "bad manifest")
             versions = tuple(tokens_by_vid[vid] for vid in c["version_ids"])
-            edits = tuple(
-                EditOperation(e["start"], e["end"], tuple(e["replacement"]), e["type"])
-                for e in c["edits"]
-            )
+            edits = tuple(_edit_from_dict(e) for e in c["edits"])
             chains.append(
                 VersionChain(
-                    c["sentence_id"], c["seed"], tuple(c["order"]),
+                    sid, c["seed"], tuple(c["order"]),
                     versions, c["source_index"], edits,
                 )
             )

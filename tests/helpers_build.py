@@ -6,7 +6,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-from semfaith import Edge, EditOperation, Node, SemanticGraph, Token, edit_distance
+from semfaith import Edge, EditOperation, Node, SemanticGraph, edit_distance
 
 LABELS = ["A", "P", "E", "C", "H", "D", "R"]
 WORDS = [
@@ -23,8 +23,7 @@ def make_graph(gid, tokens, nodes, edges, root) -> SemanticGraph:
         Edge(e[0], e[1], frozenset(e[2]), e[3] if len(e) > 3 else False)
         for e in edges
     )
-    return SemanticGraph(gid, tuple(Token(i, t) for i, t in enumerate(tokens)),
-                         node_objs, edge_objs, root)
+    return SemanticGraph(gid, tuple(tokens), node_objs, edge_objs, root)
 
 
 def graph_from_nested(gid, tokens, nested, extra_edges=()) -> SemanticGraph:
@@ -135,7 +134,7 @@ def add_random_remotes(rng: random.Random, g: SemanticGraph, max_remotes=2,
             for child in candidates:
                 label = rng.choice(LABELS)
                 trial = make_graph(
-                    g.id, [t.text for t in g.tokens],
+                    g.id, g.tokens,
                     [(n.id, n.anchor) for n in g.nodes],
                     [(e.parent, e.child, set(e.labels), e.remote) for e in g.edges]
                     + [(parent, child, {label}, True)],

@@ -79,7 +79,7 @@ def extend_alignment_scan(
             weights.append((pair, -best[0]))
     mapping.sort()
     weights.sort()
-    return NodeAlignment(direction, tuple(mapping), tuple(weights))
+    return NodeAlignment(direction, tuple(weights))
 
 
 def match_edges_scan(

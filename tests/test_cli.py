@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -151,6 +154,24 @@ def test_corpus_parallel_matches_sequential(tmp_path):
     assert main(["corpus", src, cor, "--out", str(out1)]) == 0
     assert main(["corpus", src, cor, "--jobs", "4", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_corpus_columns_and_aggregate(tmp_path, capsys):
+    pairs = [("a", fig1_source("a"), fig1_correction("a")),
+             ("b", fig1_source("b"), fig1_source("b"))]
+    src, cor = corpus_dirs(tmp_path, pairs)
+    assert main(["corpus", src, cor]) == 0
+    header, row_a, row_b, agg = capsys.readouterr().out.splitlines()
+    assert header.split("\t") == ["id", "s_to_c_p", "s_to_c_r", "s_to_c_f",
+                                  "c_to_s_p", "c_to_s_r", "c_to_s_f", "average"]
+    # fig1: s_to_c 1, 7/9, 7/8; c_to_s 5/7, 5/9, 5/8; average 3/4
+    assert row_a == "a\t1.0000\t0.7778\t0.8750\t0.7143\t0.5556\t0.6250\t0.7500"
+    assert row_b == "b" + "\t1.0000" * 7
+    assert agg == "<aggregate>\t1.0000\t0.8889\t0.9375\t0.8571\t0.7778\t0.8125\t0.8750"
+    assert main(["corpus", src, cor, "--format", "json-lines"]) == 0
+    last = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert last == {"aggregate": True, "pairs": 2, **dict(zip(header.split("\t")[1:],
+                                                             agg.split("\t")[1:]))}
 
 
 def test_corpus_jsonl_stream_input(tmp_path, capsys):
@@ -313,3 +334,100 @@ def test_maege_score_non_utf8_manifest(tmp_path, capsys):
     bad.write_bytes(NOT_UTF8)
     assert main(["maege", "score", str(bad), str(tmp_path)]) == 3
     assert "not UTF-8" in capsys.readouterr().err
+
+
+# -- flag values and bad harness input ----------------------------------------
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_corpus_rejects_jobs_below_one(fig1_files, value, capsys):
+    src, cor = fig1_files
+    with pytest.raises(SystemExit) as exc:
+        main(["corpus", src, cor, "--jobs", value])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-5", "nan"])
+def test_rejects_negative_or_nan_max_norm_dist(fig1_files, value, capsys):
+    src, cor = fig1_files
+    with pytest.raises(SystemExit) as exc:
+        main(["score", src, cor, "--max-norm-dist", value])
+    assert exc.value.code == 2
+    assert "--max-norm-dist" in capsys.readouterr().err
+    assert main(["score", src, cor, "--max-norm-dist", "1.5"]) == 0
+
+
+def write_records(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return str(path)
+
+
+def write_version_graphs(doc, directory):
+    for v in doc["versions"]:
+        g = graph_from_nested(v["version_id"], ["w"], ("r", [("A", 0)]))
+        write_graph(directory / f"{v['version_id']}.json", g)
+
+
+def test_maege_gen_rejects_duplicate_sentence_ids(tmp_path, capsys):
+    record = {"sentence_id": "s1", "tokens": ["a", "b"],
+              "edits": [{"start": 0, "end": 1, "replacement": ["c"], "type": "Mec"}]}
+    edits = write_records(tmp_path / "edits.jsonl", [record, record])
+    assert main(["maege", "gen", edits, "--out", str(tmp_path / "m.json")]) == 3
+    assert "duplicate sentence_id 's1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sid", ["../x", "a/b", "a\\b", "", ".", "..", 7])
+def test_maege_gen_rejects_path_like_sentence_ids(tmp_path, sid, capsys):
+    record = {"sentence_id": sid, "tokens": ["a"], "edits": []}
+    edits = write_records(tmp_path / "edits.jsonl", [record])
+    assert main(["maege", "gen", edits, "--out", str(tmp_path / "m.json")]) == 3
+    assert "sentence_id" in capsys.readouterr().err
+
+
+def test_maege_score_rejects_sentence_id_outside_graphs_dir(edit_corpus, tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    main(["maege", "gen", edit_corpus, "--seed", "7", "--out", str(manifest)])
+    doc = json.loads(manifest.read_text())
+    for chain in doc["chains"]:
+        chain["sentence_id"] = "../" + chain["sentence_id"]
+    manifest.write_text(json.dumps(doc))
+    graphs_dir = tmp_path / "graphs"
+    graphs_dir.mkdir()
+    write_version_graphs(doc, tmp_path)  # where "../<id>" resolves
+    assert main(["maege", "score", str(manifest), str(graphs_dir)]) == 3
+    assert "sentence_id '../s1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["tokens", "replacement"])
+def test_maege_gen_rejects_string_token_lists(tmp_path, field, capsys):
+    edit = {"start": 0, "end": 1, "replacement": ["c"], "type": "Mec"}
+    record = {"sentence_id": "s1", "tokens": ["a", "b"], "edits": [edit]}
+    (edit if field == "replacement" else record)[field] = "abc"
+    edits = write_records(tmp_path / "edits.jsonl", [record])
+    assert main(["maege", "gen", edits, "--out", str(tmp_path / "m.json")]) == 3
+    assert f"{field} must be a list of strings" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["tokens", "replacement"])
+def test_maege_score_rejects_string_token_lists(edit_corpus, tmp_path, field, capsys):
+    manifest = tmp_path / "m.json"
+    main(["maege", "gen", edit_corpus, "--seed", "7", "--out", str(manifest)])
+    doc = json.loads(manifest.read_text())
+    if field == "tokens":
+        doc["versions"][0]["tokens"] = "abc"
+    else:
+        doc["chains"][0]["edits"][0]["replacement"] = "abc"
+    manifest.write_text(json.dumps(doc))
+    write_version_graphs(doc, tmp_path)
+    assert main(["maege", "score", str(manifest), str(tmp_path)]) == 3
+    assert f"{field} must be a list of strings" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_numeric_or_pool_modules():
+    probe = ("import sys, semfaith.cli; "
+             "print(sorted({'scipy', 'numpy', 'concurrent.futures'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -156,6 +157,23 @@ def test_remote_edges_excludable():
     )
     assert len(edge_instances(g)) == 4
     assert len(edge_instances(g, include_remote=False)) == 3
+
+
+def test_edge_instances_built_once_per_flag():
+    g = make_graph(
+        "g", ["a", "b"],
+        [("r", None), ("x", None), ("w0", 0), ("w1", 1)],
+        [("r", "x", {"H"}), ("x", "w0", {"A", "D"}), ("x", "w1", {"P"}),
+         ("r", "w1", {"A"}, True)],
+        "r",
+    )
+    for include_remote in (True, False):
+        first = edge_instances(g, include_remote)
+        assert isinstance(first, tuple)
+        assert edge_instances(g, include_remote) is first
+    assert edge_instances(g, True) != edge_instances(g, False)
+    trimmed = dataclasses.replace(g, edges=g.edges[:-1])  # drops the remote edge
+    assert len(edge_instances(trimmed)) == len(edge_instances(g)) - 1
 
 
 def test_roundtrip_fixpoint():
