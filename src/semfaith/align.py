@@ -8,10 +8,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from .graph import SemanticGraph, yield_of
 
+_INF = float("inf")
 S_TO_C = "s_to_c"
 C_TO_S = "c_to_s"
 
@@ -106,61 +109,170 @@ def align_leaves(
     n, m = len(source_tokens), len(correction_tokens)
     if n == 0 or m == 0:
         return LeafAlignment(frozenset())
-    # Imported here so that commands which never align tokens do not pay
-    # for loading scipy.optimize.
-    import numpy as np
-    from scipy.optimize import linear_sum_assignment
-
     src = [t.lower() for t in source_tokens] if lowercase else list(source_tokens)
     dst = [t.lower() for t in correction_tokens] if lowercase else list(correction_tokens)
     src_strings, src_ids = _distinct(src)
     dst_strings, dst_ids = _distinct(dst)
-    table = np.array([_distances_from(a, dst_strings) for a in src_strings], dtype=np.int64)
-    rows_of, cols_of = np.ix_(src_ids, dst_ids)
-    dist = table[rows_of, cols_of]
-    if max_norm_dist is None:
-        pruned = np.zeros((n, m), dtype=bool)
-    else:
-        longest = np.maximum.outer([len(a) for a in src_strings], [len(b) for b in dst_strings])
-        norm = np.divide(table, longest, out=np.zeros(longest.shape), where=longest > 0)
-        pruned = (norm > max_norm_dist)[rows_of, cols_of]
-
+    table = [_distances_from(a, dst_strings) for a in src_strings]
     # Composite integer cost: edit distance first, |i - j| as tie-breaker.
+    # Every allowed cost is below ``forbidden``.
     shift_unit = min(n, m) * max(n, m) + 1
-    forbidden = (int(dist.max()) + 1) * shift_unit * min(n, m) + 1
-    shift = np.abs(np.subtract.outer(np.arange(n), np.arange(m)))
-    cost = np.where(pruned, forbidden, dist * shift_unit + shift)
-    rows, cols = linear_sum_assignment(cost)
-    pairs = [(int(i), int(j)) for i, j in zip(rows, cols) if not pruned[i, j]]
-    pairs = _canonicalize(pairs, dist.tolist())
+    forbidden = (max(map(max, table)) + 1) * shift_unit * min(n, m) + 1
+    # dist_rows[a][j]: distance from distinct source string a to token j.
+    dist_rows = [list(map(row.__getitem__, dst_ids)) for row in table]
+    dst_lengths = [max(len(b), 1) for b in dst_strings]
+    scaled_rows = []
+    for a, row in zip(src_strings, table):
+        if max_norm_dist is None:
+            scaled = [d * shift_unit for d in row]
+        else:
+            # A distance over 0 characters is 0, and so is its norm.
+            longest = map(max, dst_lengths, repeat(len(a)))
+            scaled = [
+                forbidden if d / most > max_norm_dist else d * shift_unit
+                for d, most in zip(row, longest)
+            ]
+        scaled_rows.append(list(map(scaled.__getitem__, dst_ids)))
+    # ramp[n - 1 - i : n - 1 - i + m] is |i - j| for j in range(m).
+    ramp = list(range(n - 1, 0, -1)) + list(range(m))
+    cost = []
+    for i, a in enumerate(src_ids):
+        row = map(add, scaled_rows[a], ramp[n - 1 - i : n - 1 - i + m])
+        if max_norm_dist is not None:
+            row = map(min, row, repeat(forbidden))
+        cost.append(list(row))
+    pairs = [(i, j) for i, j in _assign(cost) if cost[i][j] < forbidden]
+    pairs = _canonicalize(pairs, [dist_rows[a] for a in src_ids])
     return LeafAlignment(frozenset(pairs))
+
+
+def _assign(cost: list[list[int]]) -> list[tuple[int, int]]:
+    """Minimum-total-cost assignment of the rows of ``cost`` to its columns
+    (or of its columns to its rows, when it has fewer), as (row, column)
+    pairs sorted by row.
+
+    A port of the rectangular solver in SciPy's ``linear_sum_assignment``,
+    Crouse's shortest augmenting path (Crouse 2016, "On implementing 2D
+    rectangular assignment algorithms", IEEE TAES), that keeps its choices
+    among equal-cost assignments: rows are augmented in order, each path
+    search scans columns from the last to the first, a scanned column is
+    replaced by the last unscanned one, and on equal path cost a free column
+    wins.  Integer costs keep every reduced cost exact.
+    """
+    if not cost or not cost[0]:
+        return []
+    transpose = len(cost[0]) < len(cost)
+    if transpose:
+        cost = list(zip(*cost))
+    nr, nc = len(cost), len(cost[0])
+    u = [0] * nr
+    v = [0] * nc
+    col4row = [-1] * nr
+    row4col = [-1] * nc
+    for cur in range(nr):
+        # The first scan from ``cur``: u[cur] is still 0 and every path cost
+        # is infinite, so each column takes cost - v as its path cost.  Of
+        # the columns of least path cost, the scan ends on the smallest free
+        # one, or on the largest one when none is free.
+        spc = list(map(sub, cost[cur], v))
+        lowest = min(spc)
+        j = _first_free(spc, lowest, row4col)
+        if j < 0:
+            j = nc - 1 - spc[::-1].index(lowest)
+        if row4col[j] < 0:
+            u[cur] = lowest
+            row4col[j] = cur
+            col4row[cur] = j
+            continue
+        path = [cur] * nc
+        remaining = list(range(nc - 1, -1, -1))
+        remaining[nc - 1 - j] = remaining[-1]
+        remaining.pop()
+        scanned_rows = [cur]
+        scanned_cols = [j]
+        min_val = lowest
+        i = row4col[j]
+        while True:
+            scanned_rows.append(i)
+            base = min_val - u[i]
+            row = cost[i]
+            lowest = _INF
+            index = -1
+            for it, k in enumerate(remaining):
+                r = base + row[k] - v[k]
+                s = spc[k]
+                if r < s:
+                    path[k] = i
+                    spc[k] = s = r
+                if s < lowest or (s == lowest and row4col[k] < 0):
+                    lowest = s
+                    index = it
+            min_val = lowest
+            j = remaining[index]
+            scanned_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+        u[cur] += min_val
+        for i in scanned_rows[1:]:
+            u[i] += min_val - spc[col4row[i]]
+        for k in scanned_cols:
+            v[k] -= min_val - spc[k]
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    if transpose:
+        return sorted((j, i) for i, j in enumerate(col4row))
+    return list(enumerate(col4row))
+
+
+def _first_free(values: list[int], target: int, row4col: list[int]) -> int:
+    """The smallest column j with values[j] == target that no row holds,
+    or -1."""
+    j = -1
+    try:
+        while True:
+            j = values.index(target, j + 1)
+            if row4col[j] < 0:
+                return j
+    except ValueError:
+        return -1
 
 
 def _canonicalize(
     pairs: list[tuple[int, int]], dist: list[list[int]]
 ) -> list[tuple[int, int]]:
     """Swap pair endpoints toward the lexicographically smallest pair list,
-    preserving both the total edit distance and the total |i - j|."""
+    preserving both the total edit distance and the total |i - j|.
+
+    Sorted pairs have distinct source indices, so swapping the correction
+    indices of pairs a < b gives a smaller list exactly when the correction
+    index of b is the smaller one; the swap leaves the list sorted."""
     pairs = sorted(pairs)
+    rows = [i for i, _ in pairs]
+    cols = [j for _, j in pairs]
     changed = True
     while changed:
         changed = False
         for a in range(len(pairs)):
+            i1 = rows[a]
             for b in range(a + 1, len(pairs)):
-                (i1, j1), (i2, j2) = pairs[a], pairs[b]
-                old_cost = dist[i1][j1] + dist[i2][j2]
-                new_cost = dist[i1][j2] + dist[i2][j1]
-                old_shift = abs(i1 - j1) + abs(i2 - j2)
-                new_shift = abs(i1 - j2) + abs(i2 - j1)
-                if new_cost != old_cost or new_shift != old_shift:
+                j1, j2 = cols[a], cols[b]
+                if j2 > j1:
                     continue
-                candidate = sorted(
-                    pairs[:a] + [(i1, j2)] + pairs[a + 1 : b] + [(i2, j1)] + pairs[b + 1 :]
-                )
-                if candidate < pairs:
-                    pairs = candidate
-                    changed = True
-    return pairs
+                i2 = rows[b]
+                if dist[i1][j2] + dist[i2][j1] != dist[i1][j1] + dist[i2][j2]:
+                    continue
+                if abs(i1 - j2) + abs(i2 - j1) != abs(i1 - j1) + abs(i2 - j2):
+                    continue
+                cols[a], cols[b] = j2, j1
+                changed = True
+    return list(zip(rows, cols))
 
 
 @dataclass(frozen=True)

@@ -148,10 +148,17 @@ def _strings(value, what: str) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _edit_from_dict(e) -> EditOperation:
-    return EditOperation(
-        e["start"], e["end"], _strings(e["replacement"], "replacement"), e["type"]
-    )
+    start, end, edit_type = e["start"], e["end"], e["type"]
+    if not (_is_int(start) and _is_int(end)):
+        raise TypeError(f"edit start and end must be integers, not {start!r} and {end!r}")
+    if not isinstance(edit_type, str):
+        raise TypeError(f"edit type must be a string, not {edit_type!r}")
+    return EditOperation(start, end, _strings(e["replacement"], "replacement"), edit_type)
 
 
 def _claim_sentence_id(sid, seen: set[str], where: str) -> str:
@@ -233,15 +240,38 @@ def chains_from_manifest(doc: dict) -> list[VersionChain]:
             sid = _claim_sentence_id(c["sentence_id"], seen, "bad manifest")
             versions = tuple(tokens_by_vid[vid] for vid in c["version_ids"])
             edits = tuple(_edit_from_dict(e) for e in c["edits"])
+            order, source_index = c["order"], c["source_index"]
+            _check_replay(sid, versions, edits, order, source_index)
             chains.append(
-                VersionChain(
-                    sid, c["seed"], tuple(c["order"]),
-                    versions, c["source_index"], edits,
-                )
+                VersionChain(sid, c["seed"], tuple(order), versions, source_index, edits)
             )
     except (KeyError, TypeError) as exc:
         raise HarnessError(f"bad manifest: {exc}") from exc
     return chains
+
+
+def _check_replay(
+    sid: str,
+    versions: tuple[tuple[str, ...], ...],
+    edits: tuple[EditOperation, ...],
+    order,
+    source_index,
+) -> None:
+    """Check that a manifest chain is what ``build_chain`` would record:
+    ``order`` permutes the edit indices, applying the edits in that order
+    to the first version gives every version, and ``source_index`` names
+    one of them."""
+    where = f"bad manifest: chain {sid!r}"
+    if (
+        not isinstance(order, list)
+        or not all(_is_int(k) for k in order)
+        or sorted(order) != list(range(len(edits)))
+    ):
+        raise HarnessError(f"{where}: order {order!r} is not a permutation of the edit indices")
+    if not versions or tuple(apply_edits_in_order(versions[0], edits, order)) != versions:
+        raise HarnessError(f"{where}: versions do not replay from the edits in order")
+    if not _is_int(source_index) or not 0 <= source_index < len(versions):
+        raise HarnessError(f"{where}: source_index {source_index!r} is not a version index")
 
 
 def emit_manifest(chains: Sequence[VersionChain], path: str | Path) -> None:

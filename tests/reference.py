@@ -1,10 +1,11 @@
 """Reference implementations that the optimized code is tested against.
 
 Each is the straightforward form of its algorithm: a full dynamic-programming
-table for the edit distance, one such distance per token pair for the token
-alignment, a ``node_weight`` evaluation for every (node, target) pair for
-the node alignment, and a scan of every same-label edge-instance pair for
-the edge matching.
+table for the edit distance, one such distance per token pair and SciPy's
+solver for the token alignment, a re-sort after every swap for its canonical
+pair list, a ``node_weight`` evaluation for every (node, target) pair for the
+node alignment, and a scan of every same-label edge-instance pair for the
+edge matching.
 """
 from __future__ import annotations
 
@@ -104,15 +105,42 @@ def match_edges_scan(
     return out
 
 
+def canonicalize_sorted(
+    pairs: list[tuple[int, int]], dist: list[list[int]]
+) -> list[tuple[int, int]]:
+    """Swap pair endpoints toward the lexicographically smallest pair list,
+    preserving both the total edit distance and the total |i - j|: every
+    equal-cost swap is tried, and kept when the re-sorted list is smaller."""
+    pairs = sorted(pairs)
+    changed = True
+    while changed:
+        changed = False
+        for a in range(len(pairs)):
+            for b in range(a + 1, len(pairs)):
+                (i1, j1), (i2, j2) = pairs[a], pairs[b]
+                old_cost = dist[i1][j1] + dist[i2][j2]
+                new_cost = dist[i1][j2] + dist[i2][j1]
+                old_shift = abs(i1 - j1) + abs(i2 - j2)
+                new_shift = abs(i1 - j2) + abs(i2 - j1)
+                if new_cost != old_cost or new_shift != old_shift:
+                    continue
+                candidate = sorted(
+                    pairs[:a] + [(i1, j2)] + pairs[a + 1 : b] + [(i2, j1)] + pairs[b + 1 :]
+                )
+                if candidate < pairs:
+                    pairs = candidate
+                    changed = True
+    return pairs
+
+
 def align_leaves_loops(
     source_tokens, correction_tokens, lowercase=False, max_norm_dist=None
 ) -> LeafAlignment:
     """Token pairing with one DP distance per token pair, a second one for
-    the ``max_norm_dist`` pruning, and the cost matrix filled cell by cell."""
+    the ``max_norm_dist`` pruning, the cost matrix filled cell by cell, and
+    SciPy's assignment solver."""
     import numpy as np
     from scipy.optimize import linear_sum_assignment
-
-    from semfaith.align import _canonicalize
 
     n, m = len(source_tokens), len(correction_tokens)
     if n == 0 or m == 0:
@@ -136,4 +164,4 @@ def align_leaves_loops(
             cost[i, j] = forbidden if pruned[i][j] else dist[i][j] * shift_unit + abs(i - j)
     rows, cols = linear_sum_assignment(cost)
     pairs = [(int(i), int(j)) for i, j in zip(rows, cols) if not pruned[i][j]]
-    return LeafAlignment(frozenset(_canonicalize(pairs, dist)))
+    return LeafAlignment(frozenset(canonicalize_sorted(pairs, dist)))

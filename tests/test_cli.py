@@ -431,3 +431,88 @@ def test_cli_import_loads_no_numeric_or_pool_modules():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("start", 0.5, "start and end must be integers"),
+     ("end", True, "start and end must be integers"),
+     ("type", ["Mec"], "type must be a string")],
+)
+def test_maege_gen_rejects_mistyped_edit_fields(tmp_path, field, value, message, capsys):
+    edit = {"start": 0, "end": 1, "replacement": ["c"], "type": "Mec"}
+    edit[field] = value
+    record = {"sentence_id": "s1", "tokens": ["a", "b"], "edits": [edit]}
+    edits = write_records(tmp_path / "edits.jsonl", [record])
+    assert main(["maege", "gen", edits, "--out", str(tmp_path / "m.json")]) == 3
+    assert message in capsys.readouterr().err
+
+
+def _manifest_with_graphs(edit_corpus, tmp_path, change=lambda doc: None):
+    """A generated manifest with ``change(doc)`` applied, and graphs for
+    every version."""
+    manifest = tmp_path / "m.json"
+    main(["maege", "gen", edit_corpus, "--seed", "7", "--out", str(manifest)])
+    doc = json.loads(manifest.read_text())
+    change(doc)
+    manifest.write_text(json.dumps(doc))
+    write_version_graphs(doc, tmp_path)
+    return str(manifest)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("start", 1.0, "start and end must be integers"),
+     ("type", ["Mec"], "type must be a string")],
+)
+def test_maege_score_rejects_mistyped_edit_fields(edit_corpus, tmp_path, field, value,
+                                                  message, capsys):
+    def change(doc):
+        doc["chains"][0]["edits"][0][field] = value
+
+    manifest = _manifest_with_graphs(edit_corpus, tmp_path, change)
+    assert main(["maege", "score", manifest, str(tmp_path)]) == 3
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [("order", [5], "not a permutation"),
+     ("order", [0, 0], "not a permutation"),
+     ("order", [False, True], "not a permutation"),
+     ("source_index", 9, "not a version index"),
+     ("source_index", True, "not a version index"),
+     ("version_ids", [], "do not replay"),
+     ("tokens", "She", "do not replay")],
+)
+def test_maege_score_rejects_chain_that_does_not_replay(edit_corpus, tmp_path, key, value,
+                                                        message, capsys):
+    def change(doc):
+        if key == "tokens":  # a hand-edited token in the last version of s1
+            vid = doc["chains"][0]["version_ids"][-1]
+            version = next(v for v in doc["versions"] if v["version_id"] == vid)
+            version["tokens"][0] = value
+        else:
+            doc["chains"][0][key] = value
+
+    manifest = _manifest_with_graphs(edit_corpus, tmp_path, change)
+    assert main(["maege", "score", manifest, str(tmp_path)]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_scoring_commands_load_no_numeric_modules(fig1_files, edit_corpus, tmp_path):
+    """Token alignment is pure Python: scoring imports neither numpy nor scipy."""
+    src, cor = fig1_files
+    (tmp_path / "corpus").mkdir()
+    src_dir, cor_dir = corpus_dirs(tmp_path / "corpus", [("p", fig1_source(), fig1_correction())])
+    manifest = _manifest_with_graphs(edit_corpus, tmp_path)
+    for argv in (["score", src, cor],
+                 ["corpus", src_dir, cor_dir],
+                 ["maege", "score", manifest, str(tmp_path), "--max-norm-dist", "0.5"]):
+        probe = ("import sys; from semfaith.cli import main; "
+                 f"code = main({argv!r}); "
+                 "print(code, sorted({'scipy', 'numpy'} & set(sys.modules)), file=sys.stderr)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        err = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True).stderr
+        assert err.strip().splitlines()[-1] == "0 []", argv

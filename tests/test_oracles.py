@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from helpers_build import LABELS, WORDS, add_random_remotes, make_graph
 from reference import (
     align_leaves_loops,
+    canonicalize_sorted,
     edit_distance_dp,
     extend_alignment_scan,
     match_edges_scan,
@@ -23,7 +24,7 @@ from semfaith import (
     extend_alignment,
     match_edges,
 )
-from semfaith.align import _distances_from
+from semfaith.align import _assign, _canonicalize, _distances_from
 
 # ASCII, accented, CJK and non-BMP characters; a small alphabet makes
 # partial matches common.
@@ -106,6 +107,42 @@ def random_partial_alignment(rng: random.Random, n: int, m: int) -> LeafAlignmen
     rng.shuffle(dst)
     k = rng.randint(0, min(n, m))
     return LeafAlignment(frozenset(zip(src[:k], dst[:k])))
+
+
+# Entry values for the assignment test: spread, heavy ties, constant,
+# "forbidden" entries far above the rest, and large signed values.
+ENTRIES = {
+    "spread": lambda rng: rng.randint(0, 1000),
+    "ties": lambda rng: rng.randint(0, 2),
+    "constant": lambda rng: 7,
+    "forbidden": lambda rng: rng.choice((0, 1, 3, 10**9)),
+    "large": lambda rng: rng.randint(-(2**40), 2**40),
+}
+
+
+@given(seeds, st.sampled_from(sorted(ENTRIES)))
+@settings(max_examples=1000, deadline=None)
+def test_assign_equals_scipy(seed, kind):
+    """1 x k, k x 1, wide, tall and square integer matrices."""
+    import numpy as np
+    from scipy.optimize import linear_sum_assignment
+
+    rng = random.Random(seed)
+    rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+    cost = [[ENTRIES[kind](rng) for _ in range(cols)] for _ in range(rows)]
+    expected = linear_sum_assignment(np.array(cost, dtype=np.int64))
+    assert _assign(cost) == list(zip(*(a.tolist() for a in expected)))
+
+
+@given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 3), seeds)
+@settings(max_examples=500, deadline=None)
+def test_canonicalize_equals_sorted(n, m, high, seed):
+    """Random partial 1-to-1 pair lists over small distances, so that
+    equal-cost swaps are common."""
+    rng = random.Random(seed)
+    dist = [[rng.randint(0, high) for _ in range(m)] for _ in range(n)]
+    pairs = list(random_partial_alignment(rng, n, m).pairs)
+    assert _canonicalize(pairs, dist) == canonicalize_sorted(pairs, dist)
 
 
 @given(seeds)
