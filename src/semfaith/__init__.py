@@ -11,7 +11,6 @@ from .align import (
     edit_distance,
     extend_alignment,
     format_alignment_dump,
-    node_weight,
 )
 from .graph import (
     Edge,

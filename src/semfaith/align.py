@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import add, sub
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .graph import SemanticGraph, yield_of
 
@@ -22,47 +22,65 @@ C_TO_S = "c_to_s"
 def edit_distance(a: str, b: str) -> int:
     """Levenshtein distance with unit insert/delete/substitute costs.
 
-    Computed bit-parallel by Myers' bit-vector algorithm (Myers 1999, "A
-    fast bit-vector algorithm for approximate string matching based on
-    dynamic programming", JACM) in Hyyrö's form for the distance between
-    two whole strings (Hyyrö 2003); see ``_distances_from``.
+    The 1 x 1 case of ``_distance_table``: Myers' bit-vector algorithm
+    (Myers 1999, "A fast bit-vector algorithm for approximate string matching
+    based on dynamic programming", JACM) in Hyyrö's form for the distance
+    between two whole strings (Hyyrö 2003).
     """
-    return _distances_from(a, [b])[0]
+    return _distance_table([a], [b])[0][0]
 
 
-def _distances_from(a: str, others: Sequence[str]) -> list[int]:
-    """Levenshtein distance from ``a`` to each string in ``others``.
+# _POPCOUNT[x] is the number of set bits of the byte x.
+_POPCOUNT = bytes(bin(x).count("1") for x in range(256))
 
-    A column of the DP table is held as two bit vectors, the +1 and the -1
-    vertical deltas, in Python ints of len(a) bits, so each string costs one
-    pass over its characters whatever the length of ``a``.  The match masks
-    of ``a`` are built once for all of ``others``.
+
+def _distance_table(src: Sequence[str], dst: Sequence[str]) -> list[tuple[int, ...]]:
+    """``table[k][j]``, the Levenshtein distance between ``src[k]`` and
+    ``dst[j]``.
+
+    The multiple-pattern packing of Hyyrö, Fredriksson & Navarro 2005,
+    "Increased bit-parallelism for approximate and multiple string
+    matching" (JEA).  A column of each string's DP table is held as two bit
+    vectors, the +1 and the -1 vertical deltas; the vectors of all of
+    ``src`` sit side by side in one Python int, string k in lane k of
+    ``width`` bytes, with at least one guard bit above its characters.  The
+    guard bits of ``pv`` are kept at 0, so the carry of the addition stops
+    there, and what the shifts move into a lane's lowest bit is overwritten
+    (``ph``) or 0 (``mh``).  Each string of ``dst`` then costs one pass over
+    its characters for all lanes together.  In the last column lane k holds
+    the distance ``len(b) + popcount(pv lane k) - popcount(mv lane k)``;
+    the lanes are byte-aligned, so the per-byte counts come from one
+    ``bytes.translate`` per vector and are summed lane by lane.
     """
-    if not a:
-        return [len(b) for b in others]
+    width = max(map(len, src)) // 8 + 1
     peq: dict[str, int] = {}
-    for i, ch in enumerate(a):
-        peq[ch] = peq.get(ch, 0) | (1 << i)
-    mask = (1 << len(a)) - 1
-    last = 1 << (len(a) - 1)
-    out = []
-    for b in others:
-        pv, mv, dist = mask, 0, len(a)
+    lanes = low = 0
+    for k, a in enumerate(src):
+        offset = 8 * width * k
+        low |= 1 << offset
+        lanes |= ((1 << len(a)) - 1) << offset
+        for i, ch in enumerate(a, offset):
+            peq[ch] = peq.get(ch, 0) | (1 << i)
+    nbytes = width * len(src)
+    columns = []
+    for b in dst:
+        pv, mv = lanes, 0
         for ch in b:
             eq = peq.get(ch, 0)
             xv = eq | mv
             xh = (((eq & pv) + pv) ^ pv) | eq
             ph = mv | ~(xh | pv)
             mh = pv & xh
-            if ph & last:
-                dist += 1
-            elif mh & last:
-                dist -= 1
-            ph = (ph << 1) | 1
-            pv = ((mh << 1) | ~(xv | ph)) & mask
+            ph = (ph << 1) | low
+            pv = ((mh << 1) | ~(xv | ph)) & lanes
             mv = ph & xv
-        out.append(dist)
-    return out
+        plus = pv.to_bytes(nbytes, "little").translate(_POPCOUNT)
+        minus = mv.to_bytes(nbytes, "little").translate(_POPCOUNT)
+        column = [len(b)] * len(src)
+        for byte in range(width):
+            column = list(map(sub, map(add, column, plus[byte::width]), minus[byte::width]))
+        columns.append(column)
+    return list(zip(*columns))
 
 
 @dataclass(frozen=True)
@@ -113,7 +131,7 @@ def align_leaves(
     dst = [t.lower() for t in correction_tokens] if lowercase else list(correction_tokens)
     src_strings, src_ids = _distinct(src)
     dst_strings, dst_ids = _distinct(dst)
-    table = [_distances_from(a, dst_strings) for a in src_strings]
+    table = _distance_table(src_strings, dst_strings)
     # Composite integer cost: edit distance first, |i - j| as tie-breaker.
     # Every allowed cost is below ``forbidden``.
     shift_unit = min(n, m) * max(n, m) + 1
@@ -298,27 +316,6 @@ class NodeAlignment:
 
     def pair_set(self) -> frozenset[tuple[str, str]]:
         return frozenset(self.mapping)
-
-
-def node_weight(
-    v: str,
-    u: str,
-    aligned_pairs: Iterable[tuple[int, int]],
-    g_aligned: SemanticGraph,
-    g_target: SemanticGraph,
-) -> Fraction:
-    """Yield-overlap weight of aligning node ``v`` (aligned graph) to ``u``
-    (target graph): aligned token pairs between the two yields, divided by
-    the size of the target yield.  Zero when the target yield is empty.
-
-    ``aligned_pairs`` is oriented (aligned-side token, target-side token).
-    """
-    yv = yield_of(g_aligned, v)
-    yu = yield_of(g_target, u)
-    if not yu:
-        return Fraction(0)
-    hits = sum(1 for a, b in aligned_pairs if a in yv and b in yu)
-    return Fraction(hits, len(yu))
 
 
 def extend_alignment(

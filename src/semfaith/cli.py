@@ -281,6 +281,11 @@ def cmd_maege_score(args: argparse.Namespace) -> int:
             if not path.is_file():
                 raise HarnessError(f"no graph file for version {vid!r} at {path}")
             graphs[vid] = load_graph(path)
+            if graphs[vid].tokens != chain.versions[k]:
+                raise GraphValidationError(
+                    f"graph for version {vid!r} at {path} does not have the "
+                    "manifest tokens of that version"
+                )
     report = compute_deltas(chains, graphs, **_score_kwargs(args))
     if args.format == "json-lines":
         lines = [

@@ -159,11 +159,9 @@ def _score_direction(
 ) -> ScoreTriple:
     if direction == S_TO_C:
         pairs = extend_alignment(g_s, g_c, leaf_alignment, direction).pair_set()
-    elif direction == C_TO_S:
+    else:
         node_alignment = extend_alignment(g_c, g_s, leaf_alignment, direction)
         pairs = frozenset((s, c) for c, s in node_alignment.mapping)
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
     return usim_from_alignment(g_s, g_c, pairs, include_remote, strict_parent)
 
 
@@ -176,12 +174,15 @@ def usim_directed(
     strict_parent: bool = False,
     max_norm_dist: float | None = None,
 ) -> ScoreTriple:
-    """USim for one alignment direction.
+    """USim for one alignment direction, equal to ``usim(...).s_to_c`` or
+    ``.c_to_s`` but without scoring the other direction.
 
     Both directions report precision over the correction's edges and recall
     over the source's; the direction only controls which side's nodes are
     argmax-aligned onto the other.
     """
+    if direction not in (S_TO_C, C_TO_S):
+        raise ValueError(f"unknown direction {direction!r}")
     a_l = align_leaves(
         g_s.token_texts(), g_c.token_texts(),
         lowercase=lowercase, max_norm_dist=max_norm_dist,

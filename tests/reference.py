@@ -1,16 +1,17 @@
 """Reference implementations that the optimized code is tested against.
 
 Each is the straightforward form of its algorithm: a full dynamic-programming
-table for the edit distance, one such distance per token pair and SciPy's
-solver for the token alignment, a re-sort after every swap for its canonical
-pair list, a ``node_weight`` evaluation for every (node, target) pair for the
-node alignment, and a scan of every same-label edge-instance pair for the
-edge matching.
+table, or one unpacked bit-parallel pass per pattern string, for the edit
+distance; one DP distance per token pair and SciPy's solver for the token
+alignment, a re-sort after every swap for its canonical pair list, a
+``node_weight`` evaluation for every (node, target) pair for the node
+alignment, and a scan of every same-label edge-instance pair for the edge
+matching.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from semfaith import (
     S_TO_C,
@@ -19,7 +20,6 @@ from semfaith import (
     NodeAlignment,
     SemanticGraph,
     edge_instances,
-    node_weight,
     yield_of,
 )
 
@@ -37,6 +37,63 @@ def edit_distance_dp(a: str, b: str) -> int:
             cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
         prev = cur
     return prev[-1]
+
+
+def distances_from(a: str, others: Sequence[str]) -> list[int]:
+    """Levenshtein distance from ``a`` to each string in ``others``: Myers'
+    bit-vector algorithm in Hyyrö's form for whole strings, one pattern at a
+    time.
+
+    A column of the DP table is held as two bit vectors, the +1 and the -1
+    vertical deltas, in Python ints of len(a) bits, and the distance is
+    tracked at the last bit as the pass goes.
+    """
+    if not a:
+        return [len(b) for b in others]
+    peq: dict[str, int] = {}
+    for i, ch in enumerate(a):
+        peq[ch] = peq.get(ch, 0) | (1 << i)
+    mask = (1 << len(a)) - 1
+    last = 1 << (len(a) - 1)
+    out = []
+    for b in others:
+        pv, mv, dist = mask, 0, len(a)
+        for ch in b:
+            eq = peq.get(ch, 0)
+            xv = eq | mv
+            xh = (((eq & pv) + pv) ^ pv) | eq
+            ph = mv | ~(xh | pv)
+            mh = pv & xh
+            if ph & last:
+                dist += 1
+            elif mh & last:
+                dist -= 1
+            ph = (ph << 1) | 1
+            pv = ((mh << 1) | ~(xv | ph)) & mask
+            mv = ph & xv
+        out.append(dist)
+    return out
+
+
+def node_weight(
+    v: str,
+    u: str,
+    aligned_pairs: Iterable[tuple[int, int]],
+    g_aligned: SemanticGraph,
+    g_target: SemanticGraph,
+) -> Fraction:
+    """Yield-overlap weight of aligning node ``v`` (aligned graph) to ``u``
+    (target graph): aligned token pairs between the two yields, divided by
+    the size of the target yield.  Zero when the target yield is empty.
+
+    ``aligned_pairs`` is oriented (aligned-side token, target-side token).
+    """
+    yv = yield_of(g_aligned, v)
+    yu = yield_of(g_target, u)
+    if not yu:
+        return Fraction(0)
+    hits = sum(1 for a, b in aligned_pairs if a in yv and b in yu)
+    return Fraction(hits, len(yu))
 
 
 def extend_alignment_scan(

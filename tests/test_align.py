@@ -7,6 +7,7 @@ import pytest
 
 from fig1 import CORRECTION_TOKENS, SOURCE_TOKENS, fig1_correction, fig1_source
 from helpers_build import WORDS, brute_min_assignment_cost
+from reference import node_weight
 from semfaith import (
     C_TO_S,
     S_TO_C,
@@ -15,7 +16,6 @@ from semfaith import (
     edit_distance,
     extend_alignment,
     format_alignment_dump,
-    node_weight,
 )
 
 

@@ -243,16 +243,22 @@ def test_maege_gen_deterministic(edit_corpus, tmp_path):
     assert m1.read_bytes() == m2.read_bytes()
 
 
-def test_maege_score_identity_graphs(edit_corpus, tmp_path, capsys):
+def test_maege_score_identity_graphs(tmp_path, capsys):
+    """Edits that rewrite tokens to themselves leave every version of a
+    chain with the same tokens and the same graph, so every delta is 0."""
+    records = [
+        {"sentence_id": "s1", "tokens": ["He", "gave"],
+         "edits": [{"start": 0, "end": 1, "replacement": ["He"], "type": "Mec"},
+                   {"start": 1, "end": 2, "replacement": ["gave"], "type": "ArtOrDet"}]},
+        {"sentence_id": "s2", "tokens": ["a"],
+         "edits": [{"start": 0, "end": 1, "replacement": ["a"], "type": "Nn"}]},
+    ]
+    edits = write_records(tmp_path / "edits.jsonl", records)
     manifest = tmp_path / "m.json"
-    main(["maege", "gen", edit_corpus, "--seed", "7", "--out", str(manifest)])
+    main(["maege", "gen", edits, "--seed", "7", "--out", str(manifest)])
     graphs_dir = tmp_path / "graphs"
     graphs_dir.mkdir()
-    fixed = graph_from_nested("fixed", ["w"], ("r", [("A", 0)]))
-    doc = json.loads(manifest.read_text())
-    for v in doc["versions"]:
-        g = graph_from_nested(v["version_id"], ["w"], ("r", [("A", 0)]))
-        write_graph(graphs_dir / f"{v['version_id']}.json", g)
+    write_version_graphs(json.loads(manifest.read_text()), graphs_dir)
     assert main(["maege", "score", str(manifest), str(graphs_dir)]) == 0
     out = capsys.readouterr().out
     rows = [line.split("\t") for line in out.strip().splitlines()[1:]]
@@ -364,9 +370,12 @@ def write_records(path, records):
 
 
 def write_version_graphs(doc, directory):
+    """A flat graph over each version's manifest tokens."""
     for v in doc["versions"]:
-        g = graph_from_nested(v["version_id"], ["w"], ("r", [("A", 0)]))
-        write_graph(directory / f"{v['version_id']}.json", g)
+        tokens = v["tokens"]
+        flat = ("r", [("A", i) for i in range(len(tokens))])
+        write_graph(directory / f"{v['version_id']}.json",
+                    graph_from_nested(v["version_id"], tokens, flat))
 
 
 def test_maege_gen_rejects_duplicate_sentence_ids(tmp_path, capsys):
@@ -498,6 +507,18 @@ def test_maege_score_rejects_chain_that_does_not_replay(edit_corpus, tmp_path, k
     manifest = _manifest_with_graphs(edit_corpus, tmp_path, change)
     assert main(["maege", "score", manifest, str(tmp_path)]) == 3
     assert message in capsys.readouterr().err
+
+
+def test_maege_score_rejects_graph_with_other_tokens(edit_corpus, tmp_path, capsys):
+    manifest = _manifest_with_graphs(edit_corpus, tmp_path)
+    assert main(["maege", "score", manifest, str(tmp_path)]) == 0
+    capsys.readouterr()
+    path = tmp_path / "s1.v1.json"
+    doc = json.loads(path.read_text())
+    doc["tokens"][0] = "Zebra"
+    path.write_text(json.dumps(doc))
+    assert main(["maege", "score", manifest, str(tmp_path)]) == 4
+    assert "'s1.v1'" in capsys.readouterr().err
 
 
 def test_scoring_commands_load_no_numeric_modules(fig1_files, edit_corpus, tmp_path):

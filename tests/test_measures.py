@@ -192,6 +192,39 @@ def test_usim_directed_fig1_backward():
     assert t.f_score == Fraction(5, 8)
 
 
+def test_usim_directed_rejects_unknown_direction():
+    with pytest.raises(ValueError):
+        usim_directed(fig1_source(), fig1_correction(), "both")
+
+
+def test_usim_directed_equals_usim_direction():
+    rng = random.Random(67)
+    for _ in range(10):
+        g_s, g_c = random_valid_graph(rng, "s"), random_valid_graph(rng, "c")
+        for options in ({}, {"lowercase": True, "max_norm_dist": 0.5},
+                        {"include_remote": False, "strict_parent": True}):
+            report = usim(g_s, g_c, **options)
+            assert usim_directed(g_s, g_c, S_TO_C, **options) == report.s_to_c
+            assert usim_directed(g_s, g_c, C_TO_S, **options) == report.c_to_s
+
+
+def test_usim_directed_lifts_one_direction(monkeypatch):
+    import semfaith.measures
+
+    calls = []
+    real = semfaith.measures.extend_alignment
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(semfaith.measures, "extend_alignment", counting)
+    for direction in (S_TO_C, C_TO_S):
+        calls.clear()
+        usim_directed(fig1_source(), fig1_correction(), direction)
+        assert calls == [direction]
+
+
 def test_usim_fig1_average():
     rep = usim(fig1_source(), fig1_correction())
     assert rep.average == (rep.s_to_c.f_score + rep.c_to_s.f_score) / 2
@@ -343,13 +376,13 @@ def test_align_leaves_one_distance_per_distinct_string_pair(monkeypatch):
     import semfaith.align
 
     calls = []
-    real = semfaith.align._distances_from
+    real = semfaith.align._distance_table
 
-    def counting(a, others):
-        calls.extend((a, b) for b in others)
-        return real(a, others)
+    def counting(src, dst):
+        calls.extend((a, b) for a in src for b in dst)
+        return real(src, dst)
 
-    monkeypatch.setattr(semfaith.align, "_distances_from", counting)
+    monkeypatch.setattr(semfaith.align, "_distance_table", counting)
     src = ["the", "cat", "The", "cat", "sat", "the"]
     cor = ["the", "cats", "sat", "the", "Sat"]
     for lowercase in (False, True):

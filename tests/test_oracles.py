@@ -11,6 +11,7 @@ from helpers_build import LABELS, WORDS, add_random_remotes, make_graph
 from reference import (
     align_leaves_loops,
     canonicalize_sorted,
+    distances_from,
     edit_distance_dp,
     extend_alignment_scan,
     match_edges_scan,
@@ -24,7 +25,7 @@ from semfaith import (
     extend_alignment,
     match_edges,
 )
-from semfaith.align import _assign, _canonicalize, _distances_from
+from semfaith.align import _assign, _canonicalize, _distance_table
 
 # ASCII, accented, CJK and non-BMP characters; a small alphabet makes
 # partial matches common.
@@ -42,7 +43,40 @@ def test_edit_distance_equals_dp(a, others):
     expected = [edit_distance_dp(a, b) for b in others]
     assert [edit_distance(a, b) for b in others] == expected
     assert [edit_distance(b, a) for b in others] == expected
-    assert _distances_from(a, others) == expected  # one pattern, many texts
+    assert distances_from(a, others) == expected  # one pattern, many texts
+
+
+# Lanes of a packed table: many short strings and a few wide ones, in any
+# order.  Strings of 255 or more characters get lanes of 32 or more bytes,
+# whose popcount can pass 255, so a byte-wide sum per lane would overflow.
+short_strings = st.one_of(st.text(alphabet=ALPHABET, max_size=12), st.text(max_size=20))
+wide_strings = st.one_of(
+    st.text(alphabet=ALPHABET, min_size=60, max_size=150),
+    st.text(alphabet=ALPHABET, min_size=255, max_size=300),
+)
+
+
+def string_lists(most_short: int, most_wide: int):
+    return (
+        st.tuples(st.lists(short_strings, max_size=most_short),
+                  st.lists(wide_strings, max_size=most_wide))
+        .map(lambda lists: lists[0] + lists[1])
+        .filter(bool)
+        .flatmap(st.permutations)
+    )
+
+
+@given(string_lists(24, 2), string_lists(4, 1))
+@settings(max_examples=150, deadline=None)
+def test_distance_table_equals_dp(src, dst):
+    """1 x k, k x 1 and many-lane tables, with empty, non-BMP, past-64-bit
+    and 255+ character strings; each transposed as well."""
+    assert [list(row) for row in _distance_table(src, dst)] == [
+        [edit_distance_dp(a, b) for b in dst] for a in src
+    ]
+    assert [list(row) for row in _distance_table(dst, src)] == [
+        [edit_distance_dp(b, a) for a in src] for b in dst
+    ]
 
 
 # The structures are built from a seeded stream: a failing example reports
