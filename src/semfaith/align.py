@@ -121,8 +121,10 @@ def align_leaves(
     Ties between minimum-cost assignments are broken toward pairs with small
     positional displacement |i - j|, then toward the lexicographically
     smallest pair list.  ``max_norm_dist`` optionally forbids pairs whose
-    normalized edit distance exceeds the threshold.  Each distinct
-    (source string, correction string) pair has its distance computed once.
+    normalized edit distance (distance over the longer string's length)
+    exceeds the threshold: no returned pair exceeds it, the tie-break
+    included.  Each distinct (source string, correction string) pair has
+    its distance computed once.
     """
     n, m = len(source_tokens), len(correction_tokens)
     if n == 0 or m == 0:
@@ -136,8 +138,6 @@ def align_leaves(
     # Every allowed cost is below ``forbidden``.
     shift_unit = min(n, m) * max(n, m) + 1
     forbidden = (max(map(max, table)) + 1) * shift_unit * min(n, m) + 1
-    # dist_rows[a][j]: distance from distinct source string a to token j.
-    dist_rows = [list(map(row.__getitem__, dst_ids)) for row in table]
     dst_lengths = [max(len(b), 1) for b in dst_strings]
     scaled_rows = []
     for a, row in zip(src_strings, table):
@@ -160,8 +160,7 @@ def align_leaves(
             row = map(min, row, repeat(forbidden))
         cost.append(list(row))
     pairs = [(i, j) for i, j in _assign(cost) if cost[i][j] < forbidden]
-    pairs = _canonicalize(pairs, [dist_rows[a] for a in src_ids])
-    return LeafAlignment(frozenset(pairs))
+    return LeafAlignment(frozenset(_canonicalize(pairs, cost)))
 
 
 def _assign(cost: list[list[int]]) -> list[tuple[int, int]]:
@@ -263,11 +262,18 @@ def _first_free(values: list[int], target: int, row4col: list[int]) -> int:
 
 
 def _canonicalize(
-    pairs: list[tuple[int, int]], dist: list[list[int]]
+    pairs: list[tuple[int, int]], cost: list[list[int]]
 ) -> list[tuple[int, int]]:
     """Swap pair endpoints toward the lexicographically smallest pair list,
-    preserving both the total edit distance and the total |i - j|.
+    keeping the total of ``cost``, the composite matrix that ``_assign``
+    solved.
 
+    Each cell of ``cost`` is ``distance * shift_unit + |i - j|``, or the
+    forbidden cost.  Two pairs need ``min(n, m) >= 2``, and then a swap
+    changes the total ``|i - j|`` by less than ``shift_unit``: an equal
+    composite total means an equal total distance and an equal total
+    ``|i - j|``.  A forbidden cell is above any two allowed ones, so a swap
+    never creates a forbidden pair.
     Sorted pairs have distinct source indices, so swapping the correction
     indices of pairs a < b gives a smaller list exactly when the correction
     index of b is the smaller one; the swap leaves the list sorted."""
@@ -284,12 +290,9 @@ def _canonicalize(
                 if j2 > j1:
                     continue
                 i2 = rows[b]
-                if dist[i1][j2] + dist[i2][j1] != dist[i1][j1] + dist[i2][j2]:
-                    continue
-                if abs(i1 - j2) + abs(i2 - j1) != abs(i1 - j1) + abs(i2 - j2):
-                    continue
-                cols[a], cols[b] = j2, j1
-                changed = True
+                if cost[i1][j2] + cost[i2][j1] == cost[i1][j1] + cost[i2][j2]:
+                    cols[a], cols[b] = j2, j1
+                    changed = True
     return list(zip(rows, cols))
 
 

@@ -13,7 +13,9 @@ from .graph import (
     GraphFormatError,
     GraphValidationError,
     load_graph,
+    parse_json,
     read_corpus,
+    read_utf8,
 )
 from .harness import (
     HarnessError,
@@ -120,6 +122,15 @@ def _non_negative_float(text: str) -> float:
     return value
 
 
+def _output_path(text: str) -> str:
+    path = Path(text)
+    if path.is_dir():
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+    if not path.parent.is_dir():
+        raise argparse.ArgumentTypeError(f"the directory of {text!r} does not exist")
+    return text
+
+
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format", choices=("tsv", "json-lines"), default="tsv",
@@ -144,7 +155,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         "(default: no threshold)",
     )
     parser.add_argument(
-        "--out", default=None, metavar="PATH",
+        "--out", type=_output_path, default=None, metavar="PATH",
         help="write the report here (default: standard output)",
     )
 
@@ -213,14 +224,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
 
 
 def _load_groups(path: str) -> list[tuple[str, frozenset[str]]]:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise GraphFormatError(f"cannot read groups file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise GraphFormatError(f"groups file {path}: not UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"groups file {path}: invalid JSON: {exc.msg}") from exc
+    doc = parse_json(read_utf8(path, GraphFormatError), GraphFormatError, f"groups file {path}")
     if not isinstance(doc, dict) or not all(
         isinstance(k, str) and isinstance(v, list) and all(isinstance(x, str) for x in v)
         for k, v in doc.items()
@@ -353,7 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--pin-source", type=int, default=None, metavar="K",
         help="pin the comparison source to version K instead of sampling it",
     )
-    g.add_argument("--out", required=True, metavar="PATH", help="manifest output path")
+    g.add_argument(
+        "--out", type=_output_path, required=True, metavar="PATH",
+        help="manifest output path",
+    )
     g.set_defaults(func=cmd_maege_gen)
 
     s = maege_sub.add_parser("score", help="aggregate per-edit-type score deltas")

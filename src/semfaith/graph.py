@@ -323,19 +323,29 @@ def graph_to_dict(g: SemanticGraph) -> dict:
     }
 
 
-def parse_graph(data: bytes | str) -> SemanticGraph:
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise GraphFormatError(f"not UTF-8: {exc}") from exc
+def read_utf8(path: str | Path, error: type[ValueError]) -> str:
+    """The text of the UTF-8 file at ``path``.  A file that cannot be read,
+    or is not UTF-8, raises ``error``."""
     try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(
-            f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    return graph_from_dict(doc)
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8: {exc}") from exc
+
+
+def parse_json(text: str, error: type[ValueError], where: str):
+    """The JSON value in ``text``.  Text that is not JSON, or that nests
+    deeper or holds longer integers than the decoder takes, raises ``error``
+    naming ``where``."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise error(f"{where}: invalid JSON: {exc}") from exc
+
+
+def parse_graph(text: str) -> SemanticGraph:
+    return graph_from_dict(parse_json(text, GraphFormatError, "document"))
 
 
 def serialize_graph(g: SemanticGraph) -> str:
@@ -343,13 +353,9 @@ def serialize_graph(g: SemanticGraph) -> str:
 
 
 def load_graph(path: str | Path) -> SemanticGraph:
-    path = Path(path)
+    text = read_utf8(path, GraphFormatError)
     try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise GraphFormatError(f"cannot read {path}: {exc}") from exc
-    try:
-        return parse_graph(data)
+        return parse_graph(text)
     except GraphFormatError as exc:
         raise GraphFormatError(f"{path}: {exc}") from exc
 
@@ -361,20 +367,14 @@ def iter_corpus(path: str | Path) -> Iterator[SemanticGraph]:
         for child in sorted(path.iterdir()):
             if child.is_file():
                 yield load_graph(child)
-    else:
+        return
+    for lineno, line in enumerate(read_utf8(path, GraphFormatError).splitlines(), start=1):
+        if not line.strip():
+            continue
         try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise GraphFormatError(f"cannot read {path}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise GraphFormatError(f"{path}: not UTF-8: {exc}") from exc
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                yield parse_graph(line)
-            except GraphFormatError as exc:
-                raise GraphFormatError(f"{path} line {lineno}: {exc}") from exc
+            yield parse_graph(line)
+        except GraphFormatError as exc:
+            raise GraphFormatError(f"{path} line {lineno}: {exc}") from exc
 
 
 def read_corpus(path: str | Path) -> dict[str, SemanticGraph]:

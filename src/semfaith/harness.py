@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .graph import SemanticGraph
+from .graph import SemanticGraph, parse_json, read_utf8
 from .measures import usim
 
 
@@ -174,23 +174,13 @@ def _claim_sentence_id(sid, seen: set[str], where: str) -> str:
 
 def read_edit_corpus(path: str | Path) -> list[tuple[str, list[str], list[EditOperation]]]:
     """Newline-delimited records {sentence_id, tokens, edits:[...]}."""
-    path = Path(path)
     out = []
     seen: set[str] = set()
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise HarnessError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise HarnessError(f"{path}: not UTF-8: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_utf8(path, HarnessError).splitlines(), start=1):
         if not line.strip():
             continue
         where = f"{path} line {lineno}"
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise HarnessError(f"{where}: invalid JSON: {exc.msg}") from exc
+        doc = parse_json(line, HarnessError, where)
         try:
             sid = doc["sentence_id"]
             tokens = list(_strings(doc["tokens"], "tokens"))
@@ -280,15 +270,7 @@ def emit_manifest(chains: Sequence[VersionChain], path: str | Path) -> None:
 
 
 def load_manifest(path: str | Path) -> list[VersionChain]:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise HarnessError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise HarnessError(f"{path}: not UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise HarnessError(f"{path}: invalid JSON: {exc.msg}") from exc
+    doc = parse_json(read_utf8(path, HarnessError), HarnessError, str(path))
     return chains_from_manifest(doc)
 
 

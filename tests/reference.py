@@ -163,11 +163,12 @@ def match_edges_scan(
 
 
 def canonicalize_sorted(
-    pairs: list[tuple[int, int]], dist: list[list[int]]
+    pairs: list[tuple[int, int]], dist: list[list[int]], pruned: list[list[bool]]
 ) -> list[tuple[int, int]]:
     """Swap pair endpoints toward the lexicographically smallest pair list,
     preserving both the total edit distance and the total |i - j|: every
-    equal-cost swap is tried, and kept when the re-sorted list is smaller."""
+    equal-cost swap that creates no pruned pair is tried, and kept when the
+    re-sorted list is smaller."""
     pairs = sorted(pairs)
     changed = True
     while changed:
@@ -180,6 +181,8 @@ def canonicalize_sorted(
                 old_shift = abs(i1 - j1) + abs(i2 - j2)
                 new_shift = abs(i1 - j2) + abs(i2 - j1)
                 if new_cost != old_cost or new_shift != old_shift:
+                    continue
+                if pruned[i1][j2] or pruned[i2][j1]:
                     continue
                 candidate = sorted(
                     pairs[:a] + [(i1, j2)] + pairs[a + 1 : b] + [(i2, j1)] + pairs[b + 1 :]
@@ -221,4 +224,4 @@ def align_leaves_loops(
             cost[i, j] = forbidden if pruned[i][j] else dist[i][j] * shift_unit + abs(i - j)
     rows, cols = linear_sum_assignment(cost)
     pairs = [(int(i), int(j)) for i, j in zip(rows, cols) if not pruned[i][j]]
-    return LeafAlignment(frozenset(canonicalize_sorted(pairs, dist)))
+    return LeafAlignment(frozenset(canonicalize_sorted(pairs, dist, pruned)))

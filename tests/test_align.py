@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fig1 import CORRECTION_TOKENS, SOURCE_TOKENS, fig1_correction, fig1_source
 from helpers_build import WORDS, brute_min_assignment_cost
@@ -91,6 +93,26 @@ def test_align_max_norm_dist_prunes():
     assert a.pairs == frozenset()
     b = align_leaves(["abcd"], ["abxd"], max_norm_dist=0.5)
     assert b.pairs == {(0, 0)}
+
+
+# Tokens of one to six characters, some in capitals: thresholds cut some
+# pairs and leave others, and equal-cost swaps are common.
+short_tokens = st.lists(
+    st.sampled_from(["a", "b", "ab", "Ab", "ba", "bb", "BB", "aab", "abc", "bab",
+                     "abcd", "abcabc"]),
+    max_size=7,
+)
+
+
+@given(short_tokens, short_tokens, st.booleans(),
+       st.sampled_from([0.0, 0.25, 0.34, 0.5, 0.6, 0.75]))
+@example(["abcabc", "ab", "ab", "abcd", "bb"], ["ba", "bb"], False, 0.5)
+@settings(max_examples=400, deadline=None)
+def test_align_max_norm_dist_bounds_every_pair(src, dst, lowercase, threshold):
+    """No returned pair is over the threshold, the tie-break included."""
+    for i, j in align_leaves(src, dst, lowercase, max_norm_dist=threshold).pairs:
+        a, b = (src[i].lower(), dst[j].lower()) if lowercase else (src[i], dst[j])
+        assert edit_distance(a, b) / max(len(a), len(b)) <= threshold
 
 
 def test_leaf_alignment_rejects_duplicates():

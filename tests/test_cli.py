@@ -96,6 +96,19 @@ def test_score_to_file(fig1_files, tmp_path):
     assert "average\t0.7500" in out.read_text()
 
 
+@pytest.mark.parametrize("where", ["nodir/x.tsv", "a directory"])
+def test_score_rejects_unusable_out_before_reading(fig1_files, tmp_path, where, capsys):
+    """Exit 2 from the flag check: with a missing source file too, the
+    source is never read (that would exit 3)."""
+    src, cor = fig1_files
+    out = str(tmp_path) if where == "a directory" else str(tmp_path / where)
+    for source in (src, str(tmp_path / "missing.json")):
+        with pytest.raises(SystemExit) as exc:
+            main(["score", source, cor, "--out", out])
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
+
+
 # -- corpus ----------------------------------------------------------------
 
 
@@ -241,6 +254,13 @@ def test_maege_gen_deterministic(edit_corpus, tmp_path):
     assert main(["maege", "gen", edit_corpus, "--seed", "42", "--out", str(m1)]) == 0
     assert main(["maege", "gen", edit_corpus, "--seed", "42", "--out", str(m2)]) == 0
     assert m1.read_bytes() == m2.read_bytes()
+
+
+def test_maege_gen_rejects_out_in_missing_directory(edit_corpus, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["maege", "gen", edit_corpus, "--out", str(tmp_path / "nodir" / "m.json")])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
 
 
 def test_maege_score_identity_graphs(tmp_path, capsys):

@@ -172,11 +172,19 @@ def test_assign_equals_scipy(seed, kind):
 @settings(max_examples=500, deadline=None)
 def test_canonicalize_equals_sorted(n, m, high, seed):
     """Random partial 1-to-1 pair lists over small distances, so that
-    equal-cost swaps are common."""
+    equal-cost swaps are common, and some forbidden cells off the pairs.
+    ``_canonicalize`` sees only the composite cost that ``align_leaves``
+    builds; the oracle sees the distances and the pruned cells."""
     rng = random.Random(seed)
     dist = [[rng.randint(0, high) for _ in range(m)] for _ in range(n)]
     pairs = list(random_partial_alignment(rng, n, m).pairs)
-    assert _canonicalize(pairs, dist) == canonicalize_sorted(pairs, dist)
+    pruned = [[(i, j) not in pairs and rng.random() < 0.25 for j in range(m)]
+              for i in range(n)]
+    shift_unit = min(n, m) * max(n, m) + 1
+    forbidden = (high + 1) * shift_unit * min(n, m) + 1
+    cost = [[forbidden if pruned[i][j] else dist[i][j] * shift_unit + abs(i - j)
+             for j in range(m)] for i in range(n)]
+    assert _canonicalize(pairs, cost) == canonicalize_sorted(pairs, dist, pruned)
 
 
 @given(seeds)
