@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -35,6 +36,7 @@ from .measures import (
 )
 
 EXIT_OK = 0
+EXIT_WORKER = 1  # a scoring worker process died without a result
 EXIT_FORMAT = 3  # malformed input document
 EXIT_VALIDATION = 4  # well-formed input violating an invariant/precondition
 EXIT_PAIRING = 5  # corpora that cannot be paired
@@ -42,6 +44,10 @@ EXIT_PAIRING = 5  # corpora that cannot be paired
 
 class PairingError(ValueError):
     pass
+
+
+class WorkerError(RuntimeError):
+    """A forked scoring worker ended without sending its reports."""
 
 
 def _fmt(x: Fraction) -> str:
@@ -90,7 +96,8 @@ def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        data = text.encode("utf-8")  # before the file is created
+        Path(out).write_bytes(data)
 
 
 def _score_kwargs(args: argparse.Namespace) -> dict:
@@ -200,10 +207,119 @@ def _paired_corpora(source_path: str, correction_path: str):
     return [(pair_id, sources[pair_id], corrections[pair_id]) for pair_id in shared]
 
 
+def _shards(pairs: list, jobs: int) -> list[list[int]]:
+    """Pair indices in ``min(jobs, len(pairs))`` shards of about equal cost,
+    a pair costing its source token count times its correction token count.
+    Greedy longest-first: each pair goes to the shard with the least cost so
+    far, then the fewest pairs, then the lowest index, so no shard is empty.
+    Each shard lists its pairs in pair order."""
+    shards: list[list[int]] = [[] for _ in range(min(jobs, len(pairs)))]
+    loads = [0] * len(shards)
+    costs = [len(g_s.tokens) * len(g_c.tokens) for _, g_s, g_c in pairs]
+    for i in sorted(range(len(pairs)), key=lambda i: -costs[i]):
+        k = min(range(len(shards)), key=lambda k: (loads[k], len(shards[k])))
+        shards[k].append(i)
+        loads[k] += costs[i]
+    return [sorted(shard) for shard in shards]
+
+
+def _score_shard(pairs: list, shard: list[int], kwargs: dict):
+    """``(reports, failure)`` for the pairs of ``shard`` in order.  Scoring
+    stops at the first pair that raises; ``failure`` is then its index and
+    exception, otherwise None."""
+    reports = []
+    for i in shard:
+        _, g_s, g_c = pairs[i]
+        try:
+            reports.append(usim(g_s, g_c, **kwargs))
+        except Exception as exc:
+            return reports, (i, exc)
+    return reports, None
+
+
+def _fork_worker(pairs: list, shard: list[int], kwargs: dict) -> tuple[int, int]:
+    """Fork a child that writes the pickled ``_score_shard`` result of
+    ``shard`` to a pipe.  Returns the child's pid and the pipe's read end.
+    Forking is safe because the command starts no threads."""
+    import pickle  # here, not at the top: only runs that fork pay for it
+
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # The child leaves only through os._exit, so it never runs the
+        # caller's exit handlers or flushes stdio buffers it inherited.
+        status = 1
+        try:
+            os.close(read_end)
+            data = pickle.dumps(_score_shard(pairs, shard, kwargs))
+            with open(write_end, "wb") as pipe:
+                pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _collect(pid: int, read_end: int):
+    """The ``_score_shard`` result that worker ``pid`` sent.  The pipe is
+    read to EOF before the wait, so a result larger than the pipe buffer
+    cannot leave the child blocked on its write."""
+    import pickle
+
+    with open(read_end, "rb") as pipe:
+        data = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    if status or not data:
+        if os.WIFSIGNALED(status):
+            how = f"killed by signal {os.WTERMSIG(status)}"
+        else:
+            how = f"exit code {os.WEXITSTATUS(status)}"
+        raise WorkerError(
+            f"scoring worker {pid} ended with wait status {status} ({how}) "
+            "without sending its reports"
+        )
+    return pickle.loads(data)
+
+
+def _score_pairs(pairs: list, jobs: int, kwargs: dict) -> list[UsimReport]:
+    """The ``usim`` report of every pair, in pair order.
+
+    The pairs are split into ``min(jobs, len(pairs))`` shards (one where
+    ``os.fork`` is missing).  This process scores the first shard and a
+    forked child each other one.  The reports, and the exception raised when
+    a pair fails (that of the first failing pair in pair order), are the
+    same for every ``jobs``."""
+    shards = _shards(pairs, jobs if hasattr(os, "fork") else 1)
+    workers: list[tuple[int, int]] = []
+    try:
+        for shard in shards[1:]:
+            workers.append(_fork_worker(pairs, shard, kwargs))
+        results = [_score_shard(pairs, shards[0], kwargs)]
+        while workers:
+            results.append(_collect(*workers.pop(0)))
+    finally:
+        if workers:  # only when this process failed: stop and reap the rest
+            import signal
+
+            for pid, read_end in workers:
+                os.kill(pid, signal.SIGKILL)
+                os.close(read_end)
+                os.waitpid(pid, 0)
+    failures = [failure for _, failure in results if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    reports: list = [None] * len(pairs)
+    for shard, (shard_reports, _) in zip(shards, results):
+        for i, report in zip(shard, shard_reports):
+            reports[i] = report
+    return reports
+
+
 def cmd_corpus(args: argparse.Namespace) -> int:
     pairs = _paired_corpora(args.source, args.correction)
-    kwargs = _score_kwargs(args)
-    results = [(pair_id, usim(g_s, g_c, **kwargs)) for pair_id, g_s, g_c in pairs]
+    reports = _score_pairs(pairs, args.jobs, _score_kwargs(args))
+    results = [(pair_id, report) for (pair_id, _, _), report in zip(pairs, reports)]
 
     n = len(results)
     agg = [_fmt(sum(column) / n) for column in zip(*(_pair_values(r) for _, r in results))]
@@ -332,7 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     p.add_argument(
         "--jobs", type=_positive_int, default=1,
-        help="accepted for compatibility; pairs are scored in one thread",
+        help="score the pairs in this many processes, forked where the "
+        "platform has fork (default: 1)",
     )
     p.set_defaults(func=cmd_corpus)
 
@@ -386,6 +503,9 @@ def main(argv: list[str] | None = None) -> int:
     except PairingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PAIRING
+    except WorkerError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_WORKER
 
 
 if __name__ == "__main__":

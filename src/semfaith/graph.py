@@ -9,6 +9,7 @@ structure a DAG rather than a tree).
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -334,14 +335,27 @@ def read_utf8(path: str | Path, error: type[ValueError]) -> str:
         raise error(f"{path}: not UTF-8: {exc}") from exc
 
 
+# The JSON escape of a UTF-16 surrogate (\uD800 to \uDFFF), paired or not.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
 def parse_json(text: str, error: type[ValueError], where: str):
-    """The JSON value in ``text``.  Text that is not JSON, or that nests
-    deeper or holds longer integers than the decoder takes, raises ``error``
-    naming ``where``."""
+    """The JSON value in ``text``.  Text that is not JSON, that nests deeper
+    or holds longer integers than the decoder takes, or that holds a string
+    with a lone surrogate (which no UTF-8 report could hold) raises
+    ``error`` naming ``where``."""
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise error(f"{where}: invalid JSON: {exc}") from exc
+    # UTF-8 text has no lone surrogate, so only an escape can decode to one.
+    if _SURROGATE_ESCAPE.search(text):
+        try:
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise error(f"{where}: a string holds a lone surrogate "
+                        f"{exc.object[exc.start]!r}") from None
+    return doc
 
 
 def parse_graph(text: str) -> SemanticGraph:

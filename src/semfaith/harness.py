@@ -266,7 +266,8 @@ def _check_replay(
 
 def emit_manifest(chains: Sequence[VersionChain], path: str | Path) -> None:
     text = json.dumps(manifest_to_dict(chains), ensure_ascii=False, sort_keys=True, indent=1)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    data = (text + "\n").encode("utf-8")  # before the file is created
+    Path(path).write_bytes(data)
 
 
 def load_manifest(path: str | Path) -> list[VersionChain]:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ import pytest
 
 from fig1 import fig1_correction, fig1_source
 from helpers_build import graph_from_nested
-from semfaith import graph_to_dict
+from semfaith import TokenMismatchError, cli, graph_to_dict
 from semfaith.cli import main
 
 
@@ -167,6 +168,84 @@ def test_corpus_parallel_matches_sequential(tmp_path):
     assert main(["corpus", src, cor, "--out", str(out1)]) == 0
     assert main(["corpus", src, cor, "--jobs", "4", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def fig1_corpus(tmp_path, count):
+    """``count`` copies of the fig1 pair, ids s0, s1, ...: equal costs, so
+    with J jobs pair i goes to shard i mod J."""
+    return corpus_dirs(tmp_path, [(f"s{i}", fig1_source(f"s{i}"), fig1_correction(f"s{i}"))
+                                  for i in range(count)])
+
+
+@pytest.mark.parametrize("jobs, pairs, forks",
+                         [(1, 4, 0), (2, 4, 1), (3, 4, 2), (4, 4, 3), (9, 4, 3), (3, 1, 0)])
+def test_corpus_jobs_forks_one_child_per_extra_shard(tmp_path, monkeypatch, jobs, pairs, forks):
+    src, cor = fig1_corpus(tmp_path, pairs)
+    seq, par = tmp_path / "seq.tsv", tmp_path / "par.tsv"
+    assert main(["corpus", src, cor, "--out", str(seq)]) == 0
+    calls = []
+    real_fork = os.fork
+
+    def counting_fork():
+        calls.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    assert main(["corpus", src, cor, "--jobs", str(jobs), "--out", str(par)]) == 0
+    assert len(calls) == forks
+    assert par.read_bytes() == seq.read_bytes()
+
+
+def test_corpus_jobs_without_fork_scores_in_process(tmp_path, monkeypatch):
+    src, cor = fig1_corpus(tmp_path, 3)
+    seq, par = tmp_path / "seq.tsv", tmp_path / "par.tsv"
+    assert main(["corpus", src, cor, "--out", str(seq)]) == 0
+    monkeypatch.delattr(os, "fork")
+    assert main(["corpus", src, cor, "--jobs", "3", "--out", str(par)]) == 0
+    assert par.read_bytes() == seq.read_bytes()
+
+
+def test_corpus_worker_exception_exits_as_sequential(tmp_path, monkeypatch, capsys):
+    src, cor = fig1_corpus(tmp_path, 4)
+    real_usim = cli.usim
+
+    def failing_usim(g_s, g_c, **kwargs):
+        if g_s.id in ("s1", "s3"):
+            raise TokenMismatchError(f"{g_s.id} failed in process {os.getpid()}")
+        return real_usim(g_s, g_c, **kwargs)
+
+    monkeypatch.setattr(cli, "usim", failing_usim)
+    out = tmp_path / "out.tsv"
+    assert main(["corpus", src, cor, "--out", str(out)]) == 4
+    assert f"s1 failed in process {os.getpid()}" in capsys.readouterr().err
+    for jobs in ("2", "4"):  # s1 is in a child's shard
+        assert main(["corpus", src, cor, "--jobs", jobs, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "error: s1 failed in process" in err
+        assert f"process {os.getpid()}" not in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("die, how", [
+    (lambda: os._exit(7), "exit code 7"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), f"killed by signal {signal.SIGKILL}"),
+], ids=["exit", "signal"])
+def test_corpus_worker_death_fails_without_report(tmp_path, monkeypatch, capsys, die, how):
+    src, cor = fig1_corpus(tmp_path, 2)
+    parent = os.getpid()
+    real_usim = cli.usim
+
+    def dying_usim(g_s, g_c, **kwargs):
+        if os.getpid() != parent:
+            die()
+        return real_usim(g_s, g_c, **kwargs)
+
+    monkeypatch.setattr(cli, "usim", dying_usim)
+    out = tmp_path / "out.tsv"
+    assert main(["corpus", src, cor, "--jobs", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "wait status" in err and how in err
+    assert not out.exists()
 
 
 def test_corpus_columns_and_aggregate(tmp_path, capsys):
@@ -455,7 +534,8 @@ def test_maege_score_rejects_string_token_lists(edit_corpus, tmp_path, field, ca
 
 def test_cli_import_loads_no_numeric_or_pool_modules():
     probe = ("import sys, semfaith.cli; "
-             "print(sorted({'scipy', 'numpy', 'concurrent.futures'} & set(sys.modules)))")
+             "print(sorted({'scipy', 'numpy', 'concurrent.futures', 'multiprocessing', "
+             "'pickle'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout

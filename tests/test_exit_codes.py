@@ -19,7 +19,7 @@ from semfaith.cli import main
 from semfaith.harness import manifest_to_dict
 
 EXIT_CODES = {0, 3, 4, 5}
-OTHER_VALUES = [None, True, 0, -1, 2.5, "", "x", [], ["x"], {}, {"x": 1}]
+OTHER_VALUES = [None, True, 0, -1, 2.5, "", "x", "\ud800", [], ["x"], {}, {"x": 1}]
 NOT_UTF8 = [b"\xff", b"\xe9", b"\xc3", b"\x80"]
 # Past the decoder's nesting depth and integer length; both once ended in a
 # traceback.
@@ -27,6 +27,12 @@ TOO_DEEP = b"[" * 100_000
 TOO_LONG_INT = b'{"id": ' + b"1" * 5000 + b"}"
 
 GRAPH = graph_to_dict(fig1_source())
+# A lone surrogate in a string once passed parsing and ended in a traceback
+# when the report was written, leaving an empty --out file.
+LONE_SURROGATE_ID = json.dumps({**GRAPH, "id": "g\ud800"}).encode()
+LONE_SURROGATE_LABEL = json.dumps(
+    {**GRAPH, "edges": [{**GRAPH["edges"][0], "labels": ["A\ud800"]}, *GRAPH["edges"][1:]]}
+).encode()
 EDIT_RECORDS = [
     {"sentence_id": "s1", "tokens": ["He", "gve", "an", "apple"],
      "edits": [{"start": 1, "end": 2, "replacement": ["gave"], "type": "Mec"},
@@ -106,24 +112,40 @@ def workdir(tmp_path_factory):
 fuzz = settings(max_examples=300, deadline=None)
 
 
+def exits_cleanly(argv, out):
+    """``main(argv)`` returns a documented exit code, and leaves no ``out``
+    file behind unless it succeeds."""
+    out.unlink(missing_ok=True)
+    code = main([*argv, "--out", str(out)])
+    assert code in EXIT_CODES
+    assert code == 0 or not out.exists()
+
+
 @given(data=mutated(GRAPH))
 @example(data=TOO_DEEP)
 @example(data=TOO_LONG_INT)
+@example(data=LONE_SURROGATE_ID)
+@example(data=LONE_SURROGATE_LABEL)
 @fuzz
 def test_graph_documents(workdir, data):
     (workdir / "m.json").write_bytes(data)
     (workdir / "m.jsonl").write_bytes(data)
     assert main(["score", str(workdir / "m.json"), str(workdir / "cor.json")]) in EXIT_CODES
     assert main(["corpus", str(workdir / "m.jsonl"), str(workdir / "cor.jsonl")]) in EXIT_CODES
+    # Against itself the graph pairs by id, so its id and labels reach the report.
+    for command in ("corpus", "distsim"):
+        exits_cleanly([command, str(workdir / "m.jsonl"), str(workdir / "m.jsonl")],
+                      workdir / "o.tsv")
 
 
 @given(data=mutated(EDIT_RECORDS, json_lines))
 @example(data=TOO_DEEP)
+@example(data=json_lines([{**EDIT_RECORDS[1], "edits": [
+    {**EDIT_RECORDS[1]["edits"][0], "type": "T\ud800"}]}]))
 @fuzz
 def test_edit_corpus_documents(workdir, data):
     (workdir / "edits.jsonl").write_bytes(data)
-    argv = ["maege", "gen", str(workdir / "edits.jsonl"), "--out", str(workdir / "out.json")]
-    assert main(argv) in EXIT_CODES
+    exits_cleanly(["maege", "gen", str(workdir / "edits.jsonl")], workdir / "out.json")
 
 
 @given(data=mutated(MANIFEST))
