@@ -4,11 +4,13 @@ same inputs, flags, and seed."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import BinaryIO
 
 from .graph import (
     GraphFormatError,
@@ -36,10 +38,6 @@ from .measures import (
 )
 
 EXIT_OK = 0
-EXIT_WORKER = 1  # a scoring worker process died without a result
-EXIT_FORMAT = 3  # malformed input document
-EXIT_VALIDATION = 4  # well-formed input violating an invariant/precondition
-EXIT_PAIRING = 5  # corpora that cannot be paired
 
 
 class PairingError(ValueError):
@@ -50,11 +48,23 @@ class WorkerError(RuntimeError):
     """A forked scoring worker ended without sending its reports."""
 
 
+# The exit code of each error that main reports; argparse exits 2 on a bad flag.
+EXIT_CODES = {
+    WorkerError: 1,  # a scoring worker process died without a result
+    GraphFormatError: 3,  # malformed input, or a field that TSV cannot hold
+    HarnessError: 3,
+    GraphValidationError: 4,  # well-formed input violating an invariant/precondition
+    TokenMismatchError: 4,
+    PairingError: 5,  # corpora that cannot be paired
+}
+
+
 def _fmt(x: Fraction) -> str:
     return f"{float(x):.4f}"
 
 
 def _triple_dict(t: ScoreTriple) -> dict:
+    """``t`` with its scores formatted, in ``ScoreTriple`` field order."""
     return {
         "p": _fmt(t.precision),
         "r": _fmt(t.recall),
@@ -92,12 +102,38 @@ def _pair_values(report: UsimReport) -> list[Fraction]:
     ]
 
 
-def _write_output(text: str, out: str | None) -> None:
-    if out is None:
+def _tsv_field(column: str, value) -> str:
+    """``value`` as one TSV field: a list comma-joined, anything else by
+    ``str``.  A field holding a tab or a line break would split its row, so
+    it raises instead."""
+    text = ",".join(value) if isinstance(value, list) else str(value)
+    if "\t" in text or "".join(text.splitlines()) != text:
+        raise GraphFormatError(
+            f"TSV column {column!r} cannot hold {text!r}, which contains a tab "
+            "or a line break; use --format json-lines"
+        )
+    return text
+
+
+def _write_report(args: argparse.Namespace, header: list[str], rows: list[list],
+                  records: list[dict] | None = None) -> None:
+    """Write the report to ``args.out``, or to standard output when it is
+    None.  As TSV it is ``header`` and then ``rows``; as JSON lines it is
+    ``records``, by default one object per row keyed by ``header``.  The
+    text is encoded before the file is opened, so a report that cannot be
+    written leaves no file."""
+    if args.format == "json-lines":
+        if records is None:
+            records = [dict(zip(header, row)) for row in rows]
+        lines = [json.dumps(record, sort_keys=True) for record in records]
+    else:
+        lines = ["\t".join(_tsv_field(column, value) for column, value in zip(header, row))
+                 for row in [header, *rows]]
+    text = "\n".join(lines) + "\n"
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        data = text.encode("utf-8")  # before the file is created
-        Path(out).write_bytes(data)
+        Path(args.out).write_bytes(text.encode("utf-8"))
 
 
 def _score_kwargs(args: argparse.Namespace) -> dict:
@@ -144,12 +180,19 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         help="report format (default: tsv)",
     )
     parser.add_argument(
-        "--lowercase", action="store_true",
-        help="lowercase tokens before comparison (default: case-sensitive)",
-    )
-    parser.add_argument(
         "--no-remote", action="store_true",
         help="exclude remote edges from all counts (default: included)",
+    )
+    parser.add_argument(
+        "--out", type=_output_path, default=None, metavar="PATH",
+        help="write the report here (default: standard output)",
+    )
+
+
+def _add_alignment_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--lowercase", action="store_true",
+        help="lowercase tokens before comparison (default: case-sensitive)",
     )
     parser.add_argument(
         "--strict-parent", action="store_true",
@@ -161,10 +204,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         help="forbid token pairs whose normalized edit distance exceeds this "
         "(default: no threshold)",
     )
-    parser.add_argument(
-        "--out", type=_output_path, default=None, metavar="PATH",
-        help="write the report here (default: standard output)",
-    )
 
 
 # -- subcommands -----------------------------------------------------------
@@ -174,21 +213,14 @@ def cmd_score(args: argparse.Namespace) -> int:
     g_s = load_graph(args.source)
     g_c = load_graph(args.correction)
     report = usim(g_s, g_c, **_score_kwargs(args))
-    if args.format == "json-lines":
-        text = json.dumps(_report_dict(g_s.id, report), sort_keys=True) + "\n"
-    else:
-        lines = ["\t".join(["direction", "precision", "recall", "f_score",
-                            "matched_candidate", "candidate_count",
-                            "matched_reference", "reference_count"])]
-        for name, t in (("s_to_c", report.s_to_c), ("c_to_s", report.c_to_s)):
-            lines.append("\t".join([
-                name, _fmt(t.precision), _fmt(t.recall), _fmt(t.f_score),
-                str(t.matched_candidate), str(t.candidate_count),
-                str(t.matched_reference), str(t.reference_count),
-            ]))
-        lines.append(f"average\t{_fmt(report.average)}")
-        text = "\n".join(lines) + "\n"
-    _write_output(text, args.out)
+    _write_report(
+        args,
+        ["direction", *(field.name for field in dataclasses.fields(ScoreTriple))],
+        [[name, *_triple_dict(t).values()]
+         for name, t in (("s_to_c", report.s_to_c), ("c_to_s", report.c_to_s))]
+        + [["average", _fmt(report.average)]],
+        [_report_dict(g_s.id, report)],
+    )
     return EXIT_OK
 
 
@@ -237,10 +269,10 @@ def _score_shard(pairs: list, shard: list[int], kwargs: dict):
     return reports, None
 
 
-def _fork_worker(pairs: list, shard: list[int], kwargs: dict) -> tuple[int, int]:
+def _fork_worker(pairs: list, shard: list[int], kwargs: dict) -> tuple[int, BinaryIO]:
     """Fork a child that writes the pickled ``_score_shard`` result of
-    ``shard`` to a pipe.  Returns the child's pid and the pipe's read end.
-    Forking is safe because the command starts no threads."""
+    ``shard`` to a pipe.  Returns the child's pid and the pipe's read end,
+    opened.  Forking is safe because the command starts no threads."""
     import pickle  # here, not at the top: only runs that fork pay for it
 
     read_end, write_end = os.pipe()
@@ -258,23 +290,25 @@ def _fork_worker(pairs: list, shard: list[int], kwargs: dict) -> tuple[int, int]
         finally:
             os._exit(status)
     os.close(write_end)
-    return pid, read_end
+    return pid, open(read_end, "rb")
 
 
-def _collect(pid: int, read_end: int):
-    """The ``_score_shard`` result that worker ``pid`` sent.  The pipe is
-    read to EOF before the wait, so a result larger than the pipe buffer
-    cannot leave the child blocked on its write."""
+def _collect(workers: list[tuple[int, BinaryIO]]):
+    """The ``_score_shard`` result that the first of ``workers`` sent.  The
+    pipe is read to EOF before the wait, so a result larger than the pipe
+    buffer cannot leave the child blocked on its write.  The worker leaves
+    ``workers`` when it is reaped, so ``workers`` holds exactly the children
+    still to reap."""
     import pickle
 
-    with open(read_end, "rb") as pipe:
+    pid, pipe = workers[0]
+    with pipe:
         data = pipe.read()
     _, status = os.waitpid(pid, 0)
+    del workers[0]
     if status or not data:
-        if os.WIFSIGNALED(status):
-            how = f"killed by signal {os.WTERMSIG(status)}"
-        else:
-            how = f"exit code {os.WEXITSTATUS(status)}"
+        code = os.waitstatus_to_exitcode(status)
+        how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
         raise WorkerError(
             f"scoring worker {pid} ended with wait status {status} ({how}) "
             "without sending its reports"
@@ -291,20 +325,20 @@ def _score_pairs(pairs: list, jobs: int, kwargs: dict) -> list[UsimReport]:
     a pair fails (that of the first failing pair in pair order), are the
     same for every ``jobs``."""
     shards = _shards(pairs, jobs if hasattr(os, "fork") else 1)
-    workers: list[tuple[int, int]] = []
+    workers: list[tuple[int, BinaryIO]] = []
     try:
         for shard in shards[1:]:
             workers.append(_fork_worker(pairs, shard, kwargs))
         results = [_score_shard(pairs, shards[0], kwargs)]
         while workers:
-            results.append(_collect(*workers.pop(0)))
+            results.append(_collect(workers))
     finally:
         if workers:  # only when this process failed: stop and reap the rest
             import signal
 
-            for pid, read_end in workers:
+            for pid, pipe in workers:
                 os.kill(pid, signal.SIGKILL)
-                os.close(read_end)
+                pipe.close()
                 os.waitpid(pid, 0)
     failures = [failure for _, failure in results if failure is not None]
     if failures:
@@ -319,23 +353,17 @@ def _score_pairs(pairs: list, jobs: int, kwargs: dict) -> list[UsimReport]:
 def cmd_corpus(args: argparse.Namespace) -> int:
     pairs = _paired_corpora(args.source, args.correction)
     reports = _score_pairs(pairs, args.jobs, _score_kwargs(args))
-    results = [(pair_id, report) for (pair_id, _, _), report in zip(pairs, reports)]
-
-    n = len(results)
-    agg = [_fmt(sum(column) / n) for column in zip(*(_pair_values(r) for _, r in results))]
-    if args.format == "json-lines":
-        lines = [json.dumps(_report_dict(pair_id, r), sort_keys=True)
-                 for pair_id, r in results]
-        lines.append(json.dumps(
-            {"aggregate": True, "pairs": n, **dict(zip(_PAIR_COLUMNS[1:], agg))},
-            sort_keys=True,
-        ))
-    else:
-        lines = ["\t".join(_PAIR_COLUMNS)]
-        lines.extend("\t".join([pair_id] + [_fmt(v) for v in _pair_values(r)])
-                     for pair_id, r in results)
-        lines.append("\t".join(["<aggregate>"] + agg))
-    _write_output("\n".join(lines) + "\n", args.out)
+    ids = [pair_id for pair_id, _, _ in pairs]
+    n = len(reports)
+    agg = [_fmt(sum(column) / n) for column in zip(*map(_pair_values, reports))]
+    _write_report(
+        args,
+        _PAIR_COLUMNS,
+        [[pair_id, *map(_fmt, _pair_values(r))] for pair_id, r in zip(ids, reports)]
+        + [["<aggregate>", *agg]],
+        [*map(_report_dict, ids, reports),
+         {"aggregate": True, "pairs": n, **dict(zip(_PAIR_COLUMNS[1:], agg))}],
+    )
     return EXIT_OK
 
 
@@ -359,22 +387,12 @@ def cmd_distsim(args: argparse.Namespace) -> int:
         groups=groups,
         include_remote=not args.no_remote,
     )
-    if args.format == "json-lines":
-        lines = [
-            json.dumps(
-                {"group": row.name, "labels": sorted(row.labels),
-                 "distance": _fmt(row.value), "similarity": _fmt(row.similarity)},
-                sort_keys=True,
-            )
-            for row in rows
-        ]
-    else:
-        lines = ["group\tlabels\tdistance\tsimilarity"]
-        lines.extend(
-            f"{row.name}\t{','.join(sorted(row.labels))}\t{_fmt(row.value)}\t{_fmt(row.similarity)}"
-            for row in rows
-        )
-    _write_output("\n".join(lines) + "\n", args.out)
+    _write_report(
+        args,
+        ["group", "labels", "distance", "similarity"],
+        [[row.name, sorted(row.labels), _fmt(row.value), _fmt(row.similarity)]
+         for row in rows],
+    )
     return EXIT_OK
 
 
@@ -393,35 +411,23 @@ def cmd_maege_score(args: argparse.Namespace) -> int:
     graphs_dir = Path(args.graphs)
     graphs = {}
     for chain in chains:
-        for k in range(len(chain.versions)):
+        for k, tokens in enumerate(chain.versions):
             vid = version_id(chain.sentence_id, k)
-            if vid in graphs:
-                continue
             path = graphs_dir / f"{vid}.json"
             if not path.is_file():
                 raise HarnessError(f"no graph file for version {vid!r} at {path}")
             graphs[vid] = load_graph(path)
-            if graphs[vid].tokens != chain.versions[k]:
+            if graphs[vid].tokens != tokens:
                 raise GraphValidationError(
                     f"graph for version {vid!r} at {path} does not have the "
                     "manifest tokens of that version"
                 )
     report = compute_deltas(chains, graphs, **_score_kwargs(args))
-    if args.format == "json-lines":
-        lines = [
-            json.dumps(
-                {"type": td.edit_type, "delta_mean": _fmt(td.delta_mean),
-                 "occurrences": td.occurrences},
-                sort_keys=True,
-            )
-            for td in report
-        ]
-    else:
-        lines = ["type\tdelta_mean\toccurrences"]
-        lines.extend(
-            f"{td.edit_type}\t{_fmt(td.delta_mean)}\t{td.occurrences}" for td in report
-        )
-    _write_output("\n".join(lines) + "\n", args.out)
+    _write_report(
+        args,
+        ["type", "delta_mean", "occurrences"],
+        [[td.edit_type, _fmt(td.delta_mean), td.occurrences] for td in report],
+    )
     return EXIT_OK
 
 
@@ -440,12 +446,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source", help="source graph document")
     p.add_argument("correction", help="correction graph document")
     _add_common_flags(p)
+    _add_alignment_flags(p)
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("corpus", help="score two corpora paired by graph id")
     p.add_argument("source", help="source corpus (directory or .jsonl)")
     p.add_argument("correction", help="correction corpus (directory or .jsonl)")
     _add_common_flags(p)
+    _add_alignment_flags(p)
     p.add_argument(
         "--jobs", type=_positive_int, default=1,
         help="score the pairs in this many processes, forked where the "
@@ -484,28 +492,19 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("manifest", help="manifest produced by 'maege gen'")
     s.add_argument("graphs", help="directory of parsed graphs named <version_id>.json")
     _add_common_flags(s)
+    _add_alignment_flags(s)
     s.set_defaults(func=cmd_maege_score)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, HarnessError) as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except (GraphValidationError, TokenMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except PairingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PAIRING
-    except WorkerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_WORKER
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -248,6 +249,38 @@ def test_corpus_worker_death_fails_without_report(tmp_path, monkeypatch, capsys,
     assert not out.exists()
 
 
+def test_corpus_interrupted_collect_reaps_every_worker(tmp_path, monkeypatch):
+    """An exception while a worker's result is collected stops and reaps
+    every forked worker, the one being collected included."""
+    src, cor = fig1_corpus(tmp_path, 3)
+    pids = []
+    real_fork = os.fork
+
+    def recording_fork():
+        pid = real_fork()
+        pids.append(pid)
+        return pid
+
+    def interrupted_collect(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(cli, "_collect", interrupted_collect)
+    with pytest.raises(KeyboardInterrupt):
+        main(["corpus", src, cor, "--jobs", "3"])
+    assert len(pids) == 2
+    leaked = []
+    for pid in pids:
+        try:
+            os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            continue  # reaped by the command
+        leaked.append(pid)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert leaked == []
+
+
 def test_corpus_columns_and_aggregate(tmp_path, capsys):
     pairs = [("a", fig1_source("a"), fig1_correction("a")),
              ("b", fig1_source("b"), fig1_source("b"))]
@@ -374,7 +407,136 @@ def test_maege_score_missing_graph(edit_corpus, tmp_path, capsys):
     assert ".v0" in capsys.readouterr().err
 
 
+# -- report bytes ------------------------------------------------------------
+
+GOLDEN = {
+    ("score", "tsv"):
+        "direction\tprecision\trecall\tf_score\tmatched_candidate\tcandidate_count"
+        "\tmatched_reference\treference_count\n"
+        "s_to_c\t1.0000\t0.7778\t0.8750\t7\t7\t7\t9\n"
+        "c_to_s\t0.7143\t0.5556\t0.6250\t5\t7\t5\t9\n"
+        "average\t0.7500\n",
+    ("score", "json-lines"):
+        '{"average": "0.7500", '
+        '"c_to_s": {"candidate_count": 7, "f": "0.6250", "matched_candidate": 5, '
+        '"matched_reference": 5, "p": "0.7143", "r": "0.5556", "reference_count": 9}, '
+        '"id": "fig1", '
+        '"s_to_c": {"candidate_count": 7, "f": "0.8750", "matched_candidate": 7, '
+        '"matched_reference": 7, "p": "1.0000", "r": "0.7778", "reference_count": 9}}\n',
+    ("corpus", "tsv"):
+        "id\ts_to_c_p\ts_to_c_r\ts_to_c_f\tc_to_s_p\tc_to_s_r\tc_to_s_f\taverage\n"
+        "a\t1.0000\t0.7778\t0.8750\t0.7143\t0.5556\t0.6250\t0.7500\n"
+        "b\t1.0000\t1.0000\t1.0000\t1.0000\t1.0000\t1.0000\t1.0000\n"
+        "<aggregate>\t1.0000\t0.8889\t0.9375\t0.8571\t0.7778\t0.8125\t0.8750\n",
+    ("corpus", "json-lines"):
+        '{"average": "0.7500", '
+        '"c_to_s": {"candidate_count": 7, "f": "0.6250", "matched_candidate": 5, '
+        '"matched_reference": 5, "p": "0.7143", "r": "0.5556", "reference_count": 9}, '
+        '"id": "a", '
+        '"s_to_c": {"candidate_count": 7, "f": "0.8750", "matched_candidate": 7, '
+        '"matched_reference": 7, "p": "1.0000", "r": "0.7778", "reference_count": 9}}\n'
+        '{"average": "1.0000", '
+        '"c_to_s": {"candidate_count": 9, "f": "1.0000", "matched_candidate": 9, '
+        '"matched_reference": 9, "p": "1.0000", "r": "1.0000", "reference_count": 9}, '
+        '"id": "b", '
+        '"s_to_c": {"candidate_count": 9, "f": "1.0000", "matched_candidate": 9, '
+        '"matched_reference": 9, "p": "1.0000", "r": "1.0000", "reference_count": 9}}\n'
+        '{"aggregate": true, "average": "0.8750", "c_to_s_f": "0.8125", "c_to_s_p": "0.8571", '
+        '"c_to_s_r": "0.7778", "pairs": 2, "s_to_c_f": "0.9375", "s_to_c_p": "1.0000", '
+        '"s_to_c_r": "0.8889"}\n',
+    ("distsim", "tsv"):
+        "group\tlabels\tdistance\tsimilarity\n"
+        "A+D\tA,D\t0.0000\t1.0000\n"
+        "Scene\tH\t0.0000\t1.0000\n"
+        "A\tA\t0.0000\t1.0000\n"
+        "C\tC\t0.5000\t0.6667\n"
+        "E\tE\t0.0000\t1.0000\n"
+        "H\tH\t0.0000\t1.0000\n"
+        "P\tP\t0.0000\t1.0000\n"
+        "R\tR\t0.5000\t0.6667\n",
+    ("distsim", "json-lines"):
+        '{"distance": "0.0000", "group": "A+D", "labels": ["A", "D"], "similarity": "1.0000"}\n'
+        '{"distance": "0.0000", "group": "Scene", "labels": ["H"], "similarity": "1.0000"}\n'
+        '{"distance": "0.0000", "group": "A", "labels": ["A"], "similarity": "1.0000"}\n'
+        '{"distance": "0.5000", "group": "C", "labels": ["C"], "similarity": "0.6667"}\n'
+        '{"distance": "0.0000", "group": "E", "labels": ["E"], "similarity": "1.0000"}\n'
+        '{"distance": "0.0000", "group": "H", "labels": ["H"], "similarity": "1.0000"}\n'
+        '{"distance": "0.0000", "group": "P", "labels": ["P"], "similarity": "1.0000"}\n'
+        '{"distance": "0.5000", "group": "R", "labels": ["R"], "similarity": "0.6667"}\n',
+    ("maege score", "tsv"):
+        "type\tdelta_mean\toccurrences\n"
+        "Nn\t0.3333\t1\n"
+        "ArtOrDet\t0.0000\t1\n"
+        "Mec\t0.0000\t1\n",
+    ("maege score", "json-lines"):
+        '{"delta_mean": "0.3333", "occurrences": 1, "type": "Nn"}\n'
+        '{"delta_mean": "0.0000", "occurrences": 1, "type": "ArtOrDet"}\n'
+        '{"delta_mean": "0.0000", "occurrences": 1, "type": "Mec"}\n',
+}
+
+
+def report_argv(command, fig1_files, edit_corpus, tmp_path):
+    """The argv of ``command`` on the fig1 pair (``score``), the corpus of
+    pairs a = fig1 and b = fig1 source against itself (``corpus``,
+    ``distsim``), or the ``edit_corpus`` chains at seed 7 (``maege score``)."""
+    if command == "score":
+        return ["score", *fig1_files]
+    if command == "maege score":
+        return ["maege", "score", _manifest_with_graphs(edit_corpus, tmp_path), str(tmp_path)]
+    src, cor = corpus_dirs(tmp_path, [("a", fig1_source("a"), fig1_correction("a")),
+                                      ("b", fig1_source("b"), fig1_source("b"))])
+    return [command, src, cor]
+
+
+@pytest.mark.parametrize("command, fmt", sorted(GOLDEN))
+def test_report_bytes(command, fmt, fig1_files, edit_corpus, tmp_path, capsys):
+    argv = report_argv(command, fig1_files, edit_corpus, tmp_path)
+    capsys.readouterr()
+    assert main([*argv, "--format", fmt]) == 0
+    assert capsys.readouterr().out == GOLDEN[command, fmt]
+
+
+def tsv_guard_argv(case, edit_corpus, tmp_path):
+    """The argv of a command whose report holds a tab or a line break in one
+    TSV field."""
+    if case == "corpus id":
+        g = fig1_source("a\tb\nc")
+        stream = write_graph(tmp_path / "c.jsonl", g)
+        return ["corpus", stream, stream]
+    if case == "distsim label":
+        g = graph_from_nested("x", ["a"], ("r", [("A\tB", 0)]))
+        stream = write_graph(tmp_path / "c.jsonl", g)
+        return ["distsim", stream, stream]
+    if case == "distsim group":
+        stream = write_graph(tmp_path / "c.jsonl", fig1_source())
+        groups = tmp_path / "groups.json"
+        groups.write_text(json.dumps({"relators\there": ["R"]}))
+        return ["distsim", stream, stream, "--groups", str(groups)]
+    records = [json.loads(line) for line in Path(edit_corpus).read_text().splitlines()]
+    records[0]["edits"][0]["type"] = "Mec\nhere"
+    edits = write_records(tmp_path / "edits.jsonl", records)
+    (tmp_path / "graphs").mkdir()
+    return ["maege", "score", _manifest_with_graphs(edits, tmp_path / "graphs"),
+            str(tmp_path / "graphs")]
+
+
+@pytest.mark.parametrize("case", ["corpus id", "distsim label", "distsim group",
+                                  "maege edit type"])
+def test_tsv_field_with_tab_or_line_break_exits_3(case, edit_corpus, tmp_path, capsys):
+    argv = tsv_guard_argv(case, edit_corpus, tmp_path)
+    out = tmp_path / "report.tsv"
+    assert main([*argv, "--out", str(out)]) == 3
+    assert "--format json-lines" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([*argv, "--format", "json-lines", "--out", str(out)]) == 0
+    assert out.exists()
+
+
 # -- interface hygiene -----------------------------------------------------
+
+
+COMMON_FLAGS = ("--format", "--no-remote", "--out")
+ALIGNMENT_FLAGS = ("--lowercase", "--strict-parent", "--max-norm-dist")
 
 
 @pytest.mark.parametrize(
@@ -382,13 +544,30 @@ def test_maege_score_missing_graph(edit_corpus, tmp_path, capsys):
     [["score"], ["corpus"], ["distsim"], ["maege", "score"]],
 )
 def test_help_documents_flags(argv, capsys):
+    """Every report command takes the common flags; all but ``distsim``,
+    which aligns no tokens, take the alignment flags too."""
     with pytest.raises(SystemExit):
         main(argv + ["--help"])
     out = capsys.readouterr().out
-    for flag in ("--format", "--lowercase", "--no-remote", "--strict-parent",
-                 "--max-norm-dist", "--out"):
+    if argv == ["distsim"]:
+        present, absent = COMMON_FLAGS + ("--groups",), ALIGNMENT_FLAGS
+    else:
+        present, absent = COMMON_FLAGS + ALIGNMENT_FLAGS, ()
+    for flag in present:
         assert flag in out
-        assert "default" in out
+    for flag in absent:
+        assert flag not in out
+    assert "default" in out
+
+
+@pytest.mark.parametrize("flags", [["--lowercase"], ["--strict-parent"],
+                                   ["--max-norm-dist", "0.5"]])
+def test_distsim_rejects_alignment_flags(flags, tmp_path, capsys):
+    stream = write_graph(tmp_path / "c.jsonl", fig1_source())
+    with pytest.raises(SystemExit) as exc:
+        main(["distsim", stream, stream, *flags])
+    assert exc.value.code == 2
+    assert flags[0] in capsys.readouterr().err
 
 
 def test_help_maege_gen(capsys):
