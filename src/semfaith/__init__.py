@@ -42,6 +42,7 @@ from .harness import (
     load_manifest,
     per_edit_deltas,
     read_edit_corpus,
+    type_deltas,
     version_id,
 )
 from .measures import (

@@ -15,6 +15,7 @@ from typing import BinaryIO
 from .graph import (
     GraphFormatError,
     GraphValidationError,
+    SemanticGraph,
     load_graph,
     parse_json,
     read_corpus,
@@ -22,11 +23,12 @@ from .graph import (
 )
 from .harness import (
     HarnessError,
+    VersionChain,
     build_chain,
-    compute_deltas,
     emit_manifest,
     load_manifest,
     read_edit_corpus,
+    type_deltas,
     version_id,
 )
 from .measures import (
@@ -206,6 +208,14 @@ def _add_alignment_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_jobs_flag(parser: argparse.ArgumentParser, items: str) -> None:
+    parser.add_argument(
+        "--jobs", type=_positive_int, default=None, metavar="N",
+        help=f"score the {items} in this many processes, forked where the "
+        "platform has fork (default: the number of CPUs this process may run on)",
+    )
+
+
 # -- subcommands -----------------------------------------------------------
 
 
@@ -239,51 +249,50 @@ def _paired_corpora(source_path: str, correction_path: str):
     return [(pair_id, sources[pair_id], corrections[pair_id]) for pair_id in shared]
 
 
-def _shards(pairs: list, jobs: int) -> list[list[int]]:
-    """Pair indices in ``min(jobs, len(pairs))`` shards of about equal cost,
-    a pair costing its source token count times its correction token count.
-    Greedy longest-first: each pair goes to the shard with the least cost so
-    far, then the fewest pairs, then the lowest index, so no shard is empty.
-    Each shard lists its pairs in pair order."""
-    shards: list[list[int]] = [[] for _ in range(min(jobs, len(pairs)))]
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _shards(costs: list[int], jobs: int) -> list[list[int]]:
+    """Item indices in ``min(jobs, len(costs))`` shards (at least one) of
+    about equal total cost.  Greedy longest-first: each item goes to the
+    shard with the least cost so far, then the fewest items, then the lowest
+    index, so no shard is empty unless there are no items.  Each shard lists
+    its items in item order."""
+    shards: list[list[int]] = [[] for _ in range(max(1, min(jobs, len(costs))))]
     loads = [0] * len(shards)
-    costs = [len(g_s.tokens) * len(g_c.tokens) for _, g_s, g_c in pairs]
-    for i in sorted(range(len(pairs)), key=lambda i: -costs[i]):
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
         k = min(range(len(shards)), key=lambda k: (loads[k], len(shards[k])))
         shards[k].append(i)
         loads[k] += costs[i]
     return [sorted(shard) for shard in shards]
 
 
-def _score_shard(pairs: list, shard: list[int], kwargs: dict):
-    """``(reports, failure)`` for the pairs of ``shard`` in order.  Scoring
-    stops at the first pair that raises; ``failure`` is then its index and
-    exception, otherwise None."""
-    reports = []
-    for i in shard:
-        _, g_s, g_c = pairs[i]
-        try:
-            reports.append(usim(g_s, g_c, **kwargs))
-        except Exception as exc:
-            return reports, (i, exc)
-    return reports, None
-
-
-def _fork_worker(pairs: list, shard: list[int], kwargs: dict) -> tuple[int, BinaryIO]:
-    """Fork a child that writes the pickled ``_score_shard`` result of
-    ``shard`` to a pipe.  Returns the child's pid and the pipe's read end,
-    opened.  Forking is safe because the command starts no threads."""
+def _fork_worker(work, shard: list[int]) -> tuple[int, BinaryIO] | None:
+    """Fork a child that writes the pickled ``work(shard)`` to a pipe.
+    Returns the child's pid and the pipe's read end, opened, or None when
+    the fork fails (at a process limit, say), with the pipe closed again.
+    Forking is safe because the commands start no threads."""
     import pickle  # here, not at the top: only runs that fork pay for it
 
     read_end, write_end = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
     if pid == 0:
         # The child leaves only through os._exit, so it never runs the
         # caller's exit handlers or flushes stdio buffers it inherited.
         status = 1
         try:
             os.close(read_end)
-            data = pickle.dumps(_score_shard(pairs, shard, kwargs))
+            data = pickle.dumps(work(shard))
             with open(write_end, "wb") as pipe:
                 pipe.write(data)
             status = 0
@@ -294,7 +303,7 @@ def _fork_worker(pairs: list, shard: list[int], kwargs: dict) -> tuple[int, Bina
 
 
 def _collect(workers: list[tuple[int, BinaryIO]]):
-    """The ``_score_shard`` result that the first of ``workers`` sent.  The
+    """The ``work(shard)`` result that the first of ``workers`` sent.  The
     pipe is read to EOF before the wait, so a result larger than the pipe
     buffer cannot leave the child blocked on its write.  The worker leaves
     ``workers`` when it is reaped, so ``workers`` holds exactly the children
@@ -316,20 +325,30 @@ def _collect(workers: list[tuple[int, BinaryIO]]):
     return pickle.loads(data)
 
 
-def _score_pairs(pairs: list, jobs: int, kwargs: dict) -> list[UsimReport]:
-    """The ``usim`` report of every pair, in pair order.
+def _run_shards(costs: list[int], jobs: int | None, work) -> list:
+    """The result of every item, in item order.
 
-    The pairs are split into ``min(jobs, len(pairs))`` shards (one where
-    ``os.fork`` is missing).  This process scores the first shard and a
-    forked child each other one.  The reports, and the exception raised when
-    a pair fails (that of the first failing pair in pair order), are the
-    same for every ``jobs``."""
-    shards = _shards(pairs, jobs if hasattr(os, "fork") else 1)
+    ``work(shard)`` takes a list of item indices and returns ``(results,
+    failure)``: one result per item in order, up to the first item that
+    fails, and then ``failure`` as ``(key, exception)``, otherwise None.
+    The items are split by ``_shards`` into ``jobs`` shards (by default the
+    usable CPUs; one where ``os.fork`` is missing).  This process runs the
+    first shard and a forked child each other one; once a fork fails, this
+    process runs the rest too.  Of all failures the exception with the
+    lowest key is raised, so the results and the error are the same for
+    every ``jobs``."""
+    shards = _shards(costs, (jobs or _usable_cpus()) if hasattr(os, "fork") else 1)
+    local, forked = shards[:1], []
     workers: list[tuple[int, BinaryIO]] = []
     try:
-        for shard in shards[1:]:
-            workers.append(_fork_worker(pairs, shard, kwargs))
-        results = [_score_shard(pairs, shards[0], kwargs)]
+        for j, shard in enumerate(shards[1:], start=1):
+            worker = _fork_worker(work, shard)
+            if worker is None:
+                local += shards[j:]
+                break
+            workers.append(worker)
+            forked.append(shard)
+        results = [work(shard) for shard in local]
         while workers:
             results.append(_collect(workers))
     finally:
@@ -343,16 +362,29 @@ def _score_pairs(pairs: list, jobs: int, kwargs: dict) -> list[UsimReport]:
     failures = [failure for _, failure in results if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
-    reports: list = [None] * len(pairs)
-    for shard, (shard_reports, _) in zip(shards, results):
-        for i, report in zip(shard, shard_reports):
-            reports[i] = report
-    return reports
+    merged: list = [None] * len(costs)
+    for shard, (shard_results, _) in zip(local + forked, results):
+        for i, result in zip(shard, shard_results):
+            merged[i] = result
+    return merged
 
 
 def cmd_corpus(args: argparse.Namespace) -> int:
     pairs = _paired_corpora(args.source, args.correction)
-    reports = _score_pairs(pairs, args.jobs, _score_kwargs(args))
+    kwargs = _score_kwargs(args)
+
+    def score(shard: list[int]):
+        reports = []
+        for i in shard:
+            _, g_s, g_c = pairs[i]
+            try:
+                reports.append(usim(g_s, g_c, **kwargs))
+            except Exception as exc:
+                return reports, (i, exc)
+        return reports, None
+
+    costs = [len(g_s.tokens) * len(g_c.tokens) for _, g_s, g_c in pairs]
+    reports = _run_shards(costs, args.jobs, score)
     ids = [pair_id for pair_id, _, _ in pairs]
     n = len(reports)
     agg = [_fmt(sum(column) / n) for column in zip(*map(_pair_values, reports))]
@@ -406,27 +438,65 @@ def cmd_maege_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _load_version(graphs_dir: Path, chain: VersionChain, k: int) -> SemanticGraph:
+    """The graph of version ``k`` of ``chain``, which must exist and hold the
+    manifest tokens of that version."""
+    vid = version_id(chain.sentence_id, k)
+    path = graphs_dir / f"{vid}.json"
+    if not path.is_file():
+        raise HarnessError(f"no graph file for version {vid!r} at {path}")
+    graph = load_graph(path)
+    if graph.tokens != chain.versions[k]:
+        raise GraphValidationError(
+            f"graph for version {vid!r} at {path} does not have the "
+            "manifest tokens of that version"
+        )
+    return graph
+
+
 def cmd_maege_score(args: argparse.Namespace) -> int:
     chains = load_manifest(args.manifest)
     graphs_dir = Path(args.graphs)
-    graphs = {}
-    for chain in chains:
-        for k, tokens in enumerate(chain.versions):
-            vid = version_id(chain.sentence_id, k)
-            path = graphs_dir / f"{vid}.json"
-            if not path.is_file():
-                raise HarnessError(f"no graph file for version {vid!r} at {path}")
-            graphs[vid] = load_graph(path)
-            if graphs[vid].tokens != tokens:
-                raise GraphValidationError(
-                    f"graph for version {vid!r} at {path} does not have the "
-                    "manifest tokens of that version"
-                )
-    report = compute_deltas(chains, graphs, **_score_kwargs(args))
+    kwargs = _score_kwargs(args)
+
+    def score(shard: list[int]):
+        """Load every version of the shard's chains, then score each chain's
+        versions against its source.  A load failure, keyed ``(0, chain,
+        version)``, comes before any scoring failure, ``(1, chain,
+        version)``, as when one process loads every graph first."""
+        graphs = {}
+        for c in shard:
+            for k in range(len(chains[c].versions)):
+                try:
+                    graphs[c, k] = _load_version(graphs_dir, chains[c], k)
+                except Exception as exc:
+                    return [], ((0, c, k), exc)
+        averages = []
+        for c in shard:
+            source = graphs[c, chains[c].source_index]
+            chain_averages = []
+            for k in range(len(chains[c].versions)):
+                try:
+                    chain_averages.append(usim(source, graphs[c, k], **kwargs).average)
+                except Exception as exc:
+                    return averages, ((1, c, k), exc)
+            averages.append(chain_averages)
+        return averages, None
+
+    costs = [
+        sum(len(chain.versions[chain.source_index]) * len(tokens) for tokens in chain.versions)
+        for chain in chains
+    ]
+    scores = {
+        version_id(chain.sentence_id, k): average
+        for chain, chain_averages in zip(chains, _run_shards(costs, args.jobs, score))
+        for k, average in enumerate(chain_averages)
+    }
     _write_report(
         args,
         ["type", "delta_mean", "occurrences"],
-        [[td.edit_type, _fmt(td.delta_mean), td.occurrences] for td in report],
+        [[td.edit_type, _fmt(td.delta_mean), td.occurrences]
+         for td in type_deltas(chains, scores)],
     )
     return EXIT_OK
 
@@ -454,11 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("correction", help="correction corpus (directory or .jsonl)")
     _add_common_flags(p)
     _add_alignment_flags(p)
-    p.add_argument(
-        "--jobs", type=_positive_int, default=1,
-        help="score the pairs in this many processes, forked where the "
-        "platform has fork (default: 1)",
-    )
+    _add_jobs_flag(p, "pairs")
     p.set_defaults(func=cmd_corpus)
 
     p = sub.add_parser("distsim", help="per-label-group count distance over a corpus")
@@ -493,6 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("graphs", help="directory of parsed graphs named <version_id>.json")
     _add_common_flags(s)
     _add_alignment_flags(s)
+    _add_jobs_flag(s, "chains")
     s.set_defaults(func=cmd_maege_score)
 
     return parser

@@ -278,6 +278,42 @@ def load_manifest(path: str | Path) -> list[VersionChain]:
 # -- delta aggregation -----------------------------------------------------
 
 
+def _version_scores(
+    chains: Sequence[VersionChain],
+    parsed_graphs: Mapping[str, SemanticGraph],
+    **score_kwargs,
+) -> dict[str, Fraction]:
+    """The USim average of every version against its chain's source, by
+    version id, scored chain by chain in version order."""
+
+    def graph_for(vid: str) -> SemanticGraph:
+        try:
+            return parsed_graphs[vid]
+        except KeyError:
+            raise HarnessError(f"no parsed graph for version {vid!r}") from None
+
+    scores: dict[str, Fraction] = {}
+    for chain in chains:
+        source = graph_for(version_id(chain.sentence_id, chain.source_index))
+        for k in range(len(chain.versions)):
+            vid = version_id(chain.sentence_id, k)
+            scores[vid] = usim(source, graph_for(vid), **score_kwargs).average
+    return scores
+
+
+def _edit_deltas(
+    chains: Sequence[VersionChain], scores: Mapping[str, Fraction]
+) -> list[tuple[str, Fraction]]:
+    deltas: list[tuple[str, Fraction]] = []
+    for chain in chains:
+        for k, edit_index in enumerate(chain.order, start=1):
+            edit_type = chain.edits[edit_index].edit_type
+            delta = (scores[version_id(chain.sentence_id, k)]
+                     - scores[version_id(chain.sentence_id, k - 1)])
+            deltas.append((edit_type, delta))
+    return deltas
+
+
 def per_edit_deltas(
     chains: Sequence[VersionChain],
     parsed_graphs: Mapping[str, SemanticGraph],
@@ -287,30 +323,32 @@ def per_edit_deltas(
     max_norm_dist: float | None = None,
 ) -> list[tuple[str, Fraction]]:
     """(edit type, score delta) for every applied edit across all chains."""
-    kwargs = dict(
+    scores = _version_scores(
+        chains,
+        parsed_graphs,
         lowercase=lowercase,
         include_remote=include_remote,
         strict_parent=strict_parent,
         max_norm_dist=max_norm_dist,
     )
+    return _edit_deltas(chains, scores)
 
-    def graph_for(vid: str) -> SemanticGraph:
-        try:
-            return parsed_graphs[vid]
-        except KeyError:
-            raise HarnessError(f"no parsed graph for version {vid!r}") from None
 
-    deltas: list[tuple[str, Fraction]] = []
-    for chain in chains:
-        source = graph_for(version_id(chain.sentence_id, chain.source_index))
-        scores: list[Fraction] = []
-        for k in range(len(chain.versions)):
-            vid = version_id(chain.sentence_id, k)
-            scores.append(usim(source, graph_for(vid), **kwargs).average)
-        for k, edit_index in enumerate(chain.order, start=1):
-            edit_type = chain.edits[edit_index].edit_type
-            deltas.append((edit_type, scores[k] - scores[k - 1]))
-    return deltas
+def type_deltas(
+    chains: Sequence[VersionChain], scores: Mapping[str, Fraction]
+) -> list[TypeDelta]:
+    """Average score change per edit type, sorted by delta descending, from
+    the USim average of every version by version id."""
+    totals: dict[str, Fraction] = {}
+    counts: dict[str, int] = {}
+    for edit_type, delta in _edit_deltas(chains, scores):
+        totals[edit_type] = totals.get(edit_type, Fraction(0)) + delta
+        counts[edit_type] = counts.get(edit_type, 0) + 1
+    report = [
+        TypeDelta(t, totals[t] / counts[t], counts[t]) for t in totals
+    ]
+    report.sort(key=lambda td: (-td.delta_mean, td.edit_type))
+    return report
 
 
 def compute_deltas(
@@ -319,14 +357,4 @@ def compute_deltas(
     **score_kwargs,
 ) -> list[TypeDelta]:
     """Average score change per edit type, sorted by delta descending."""
-    raw = per_edit_deltas(chains, parsed_graphs, **score_kwargs)
-    totals: dict[str, Fraction] = {}
-    counts: dict[str, int] = {}
-    for edit_type, delta in raw:
-        totals[edit_type] = totals.get(edit_type, Fraction(0)) + delta
-        counts[edit_type] = counts.get(edit_type, 0) + 1
-    report = [
-        TypeDelta(t, totals[t] / counts[t], counts[t]) for t in totals
-    ]
-    report.sort(key=lambda td: (-td.delta_mean, td.edit_type))
-    return report
+    return type_deltas(chains, _version_scores(chains, parsed_graphs, **score_kwargs))

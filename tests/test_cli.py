@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import json
 import os
 import signal
@@ -166,7 +167,7 @@ def test_corpus_parallel_matches_sequential(tmp_path):
     src, cor = corpus_dirs(tmp_path, pairs)
     out1 = tmp_path / "seq.tsv"
     out2 = tmp_path / "par.tsv"
-    assert main(["corpus", src, cor, "--out", str(out1)]) == 0
+    assert main(["corpus", src, cor, "--jobs", "1", "--out", str(out1)]) == 0
     assert main(["corpus", src, cor, "--jobs", "4", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
@@ -183,7 +184,7 @@ def fig1_corpus(tmp_path, count):
 def test_corpus_jobs_forks_one_child_per_extra_shard(tmp_path, monkeypatch, jobs, pairs, forks):
     src, cor = fig1_corpus(tmp_path, pairs)
     seq, par = tmp_path / "seq.tsv", tmp_path / "par.tsv"
-    assert main(["corpus", src, cor, "--out", str(seq)]) == 0
+    assert main(["corpus", src, cor, "--jobs", "1", "--out", str(seq)]) == 0
     calls = []
     real_fork = os.fork
 
@@ -200,7 +201,7 @@ def test_corpus_jobs_forks_one_child_per_extra_shard(tmp_path, monkeypatch, jobs
 def test_corpus_jobs_without_fork_scores_in_process(tmp_path, monkeypatch):
     src, cor = fig1_corpus(tmp_path, 3)
     seq, par = tmp_path / "seq.tsv", tmp_path / "par.tsv"
-    assert main(["corpus", src, cor, "--out", str(seq)]) == 0
+    assert main(["corpus", src, cor, "--jobs", "1", "--out", str(seq)]) == 0
     monkeypatch.delattr(os, "fork")
     assert main(["corpus", src, cor, "--jobs", "3", "--out", str(par)]) == 0
     assert par.read_bytes() == seq.read_bytes()
@@ -217,7 +218,7 @@ def test_corpus_worker_exception_exits_as_sequential(tmp_path, monkeypatch, caps
 
     monkeypatch.setattr(cli, "usim", failing_usim)
     out = tmp_path / "out.tsv"
-    assert main(["corpus", src, cor, "--out", str(out)]) == 4
+    assert main(["corpus", src, cor, "--jobs", "1", "--out", str(out)]) == 4
     assert f"s1 failed in process {os.getpid()}" in capsys.readouterr().err
     for jobs in ("2", "4"):  # s1 is in a child's shard
         assert main(["corpus", src, cor, "--jobs", jobs, "--out", str(out)]) == 4
@@ -545,14 +546,17 @@ ALIGNMENT_FLAGS = ("--lowercase", "--strict-parent", "--max-norm-dist")
 )
 def test_help_documents_flags(argv, capsys):
     """Every report command takes the common flags; all but ``distsim``,
-    which aligns no tokens, take the alignment flags too."""
+    which aligns no tokens, take the alignment flags too, and the commands
+    that score many pairs, ``corpus`` and ``maege score``, take ``--jobs``."""
     with pytest.raises(SystemExit):
         main(argv + ["--help"])
     out = capsys.readouterr().out
     if argv == ["distsim"]:
-        present, absent = COMMON_FLAGS + ("--groups",), ALIGNMENT_FLAGS
+        present, absent = COMMON_FLAGS + ("--groups",), ALIGNMENT_FLAGS + ("--jobs",)
+    elif argv == ["score"]:
+        present, absent = COMMON_FLAGS + ALIGNMENT_FLAGS, ("--jobs",)
     else:
-        present, absent = COMMON_FLAGS + ALIGNMENT_FLAGS, ()
+        present, absent = COMMON_FLAGS + ALIGNMENT_FLAGS + ("--jobs",), ()
     for flag in present:
         assert flag in out
     for flag in absent:
@@ -816,3 +820,164 @@ def test_scoring_commands_load_no_numeric_modules(fig1_files, edit_corpus, tmp_p
         err = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                              capture_output=True, text=True).stderr
         assert err.strip().splitlines()[-1] == "0 []", argv
+
+
+# -- parallel maege score and fork failure -------------------------------------
+
+
+def maege_chains(tmp_path, count, pin_source=None):
+    """A manifest of ``count`` chains c0, c1, ... and flat graphs for every
+    version, in ``tmp_path``.  With ``pin_source`` every chain has the same
+    tokens, edits and source, so the same cost: with J jobs chain i goes to
+    shard i mod J."""
+    records = []
+    for i in range(count):
+        n = 3 if pin_source is not None else 3 + i % 4
+        tokens = [f"w{j}" for j in range(n)]
+        edits = [{"start": 0, "end": 1, "replacement": ["x", "y"], "type": "Ins"},
+                 {"start": 1, "end": 2, "replacement": ["w1"], "type": "Same"},
+                 {"start": n - 1, "end": n, "replacement": [], "type": "Del"}]
+        records.append({"sentence_id": f"c{i}", "tokens": tokens, "edits": edits})
+    edits = write_records(tmp_path / "edits.jsonl", records)
+    manifest = tmp_path / "m.json"
+    pin = [] if pin_source is None else ["--pin-source", str(pin_source)]
+    assert main(["maege", "gen", edits, "--seed", "3", *pin, "--out", str(manifest)]) == 0
+    write_version_graphs(json.loads(manifest.read_text()), tmp_path)
+    return str(manifest), str(tmp_path)
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json-lines"])
+def test_maege_score_parallel_matches_sequential(fmt, tmp_path):
+    manifest, graphs = maege_chains(tmp_path, 5)
+    outs = []
+    for jobs in (["--jobs", "1"], ["--jobs", "2"], ["--jobs", "3"], []):
+        out = tmp_path / f"out{len(outs)}"
+        argv = ["maege", "score", manifest, graphs, "--format", fmt, *jobs]
+        assert main([*argv, "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert len(outs[0].splitlines()) == 3 + (fmt == "tsv")  # three edit types
+    assert outs[1:] == outs[:1] * 3
+
+
+@pytest.mark.parametrize("jobs, chains, forks", [(1, 3, 0), (2, 3, 1), (3, 3, 2), (5, 3, 2)])
+def test_maege_score_jobs_forks_one_child_per_extra_shard(tmp_path, monkeypatch, jobs, chains,
+                                                           forks):
+    manifest, graphs = maege_chains(tmp_path, chains)
+    seq, par = tmp_path / "seq.tsv", tmp_path / "par.tsv"
+    assert main(["maege", "score", manifest, graphs, "--jobs", "1", "--out", str(seq)]) == 0
+    calls = []
+    real_fork = os.fork
+
+    def counting_fork():
+        calls.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    argv = ["maege", "score", manifest, graphs, "--jobs", str(jobs), "--out", str(par)]
+    assert main(argv) == 0
+    assert len(calls) == forks
+    assert par.read_bytes() == seq.read_bytes()
+
+
+def _remove_graph(graphs, vid):
+    Path(graphs, f"{vid}.json").unlink()
+
+
+def _retoken_graph(graphs, vid):
+    path = Path(graphs, f"{vid}.json")
+    doc = json.loads(path.read_text())
+    doc["tokens"][0] = "Zebra"
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("damage, failing, code, message", [
+    # a scoring failure in c0 (this process's shard) and a missing graph in c1
+    ([(_remove_graph, "c1.v2")], {"c0.v1"}, 3, "no graph file for version 'c1.v2'"),
+    # a wrong-token graph in c1 (a child's shard) and a missing graph in c2
+    ([(_retoken_graph, "c1.v1"), (_remove_graph, "c2.v0")], {"c0.v1"}, 4,
+     "graph for version 'c1.v1'"),
+    # scoring failures in c1 (a child's shard) and c2 (this process's shard)
+    ([], {"c1.v2", "c2.v0"}, 4, "error: c1.v2 failed to score"),
+], ids=["load beats earlier scoring", "earlier load beats later load",
+        "earlier scoring beats later scoring"])
+def test_maege_score_failure_precedence_as_sequential(tmp_path, monkeypatch, capsys, damage,
+                                                      failing, code, message):
+    """With four chains of equal cost, chain i goes to shard i mod jobs, so
+    at ``--jobs 2`` c0 and c2 are scored in this process and c1 and c3 in a
+    child.  Every ``--jobs`` fails as ``--jobs 1`` does: with the first
+    load failure in manifest order, else the first scoring failure."""
+    manifest, graphs = maege_chains(tmp_path, 4, pin_source=0)
+    for change, vid in damage:
+        change(graphs, vid)
+    real_usim = cli.usim
+
+    def failing_usim(g_s, g_c, **kwargs):
+        if g_c.id in failing:
+            raise TokenMismatchError(f"{g_c.id} failed to score")
+        return real_usim(g_s, g_c, **kwargs)
+
+    monkeypatch.setattr(cli, "usim", failing_usim)
+    out = tmp_path / "out.tsv"
+    errors = []
+    for jobs in ("1", "2", "3", "4"):
+        argv = ["maege", "score", manifest, graphs, "--jobs", jobs, "--out", str(out)]
+        assert main(argv) == code
+        errors.append(capsys.readouterr().err)
+        assert not out.exists()
+    assert message in errors[0]
+    assert errors[1:] == errors[:1] * 3
+
+
+def test_maege_score_worker_death_fails_without_report(tmp_path, monkeypatch, capsys):
+    manifest, graphs = maege_chains(tmp_path, 2)
+    parent = os.getpid()
+    real_usim = cli.usim
+
+    def dying_usim(g_s, g_c, **kwargs):
+        if os.getpid() != parent:
+            os._exit(7)
+        return real_usim(g_s, g_c, **kwargs)
+
+    monkeypatch.setattr(cli, "usim", dying_usim)
+    out = tmp_path / "out.tsv"
+    assert main(["maege", "score", manifest, graphs, "--jobs", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "wait status" in err and "exit code 7" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_maege_score_rejects_jobs_below_one(edit_corpus, tmp_path, value, capsys):
+    manifest = _manifest_with_graphs(edit_corpus, tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["maege", "score", manifest, str(tmp_path), "--jobs", value])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_failed_fork_scores_in_process(tmp_path, monkeypatch):
+    """Where ``os.fork`` fails, as at a process limit, both commands close
+    the pipe and score every shard in this process, as with ``--jobs 1``."""
+    (tmp_path / "corpus").mkdir()
+    (tmp_path / "maege").mkdir()
+    src, cor = fig1_corpus(tmp_path / "corpus", 3)
+    manifest, graphs = maege_chains(tmp_path / "maege", 3)
+    commands = [["corpus", src, cor], ["maege", "score", manifest, graphs]]
+    expected = []
+    for argv in commands:
+        out = tmp_path / "seq.out"
+        assert main([*argv, "--jobs", "1", "--out", str(out)]) == 0
+        expected.append(out.read_bytes())
+
+    def failing_fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    fds = Path("/proc/self/fd")
+    for argv, want in zip(commands, expected):
+        out = tmp_path / "par.out"
+        before = len(list(fds.iterdir())) if fds.is_dir() else None
+        assert main([*argv, "--jobs", "2", "--out", str(out)]) == 0
+        assert out.read_bytes() == want
+        if before is not None:
+            assert len(list(fds.iterdir())) == before
