@@ -42,7 +42,6 @@ from .harness import (
     load_manifest,
     per_edit_deltas,
     read_edit_corpus,
-    type_deltas,
     version_id,
 )
 from .measures import (

@@ -30,6 +30,7 @@ from .harness import (
     read_edit_corpus,
     type_deltas,
     version_id,
+    version_scores,
 )
 from .measures import (
     ScoreTriple,
@@ -208,14 +209,6 @@ def _add_alignment_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_jobs_flag(parser: argparse.ArgumentParser, items: str) -> None:
-    parser.add_argument(
-        "--jobs", type=_positive_int, default=None, metavar="N",
-        help=f"score the {items} in this many processes, forked where the "
-        "platform has fork (default: the number of CPUs this process may run on)",
-    )
-
-
 # -- subcommands -----------------------------------------------------------
 
 
@@ -250,7 +243,9 @@ def _paired_corpora(source_path: str, correction_path: str):
 
 
 def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
+    """The number of CPUs this process may run on.  A cgroup CPU quota is
+    not counted, so under a quota this can exceed the CPUs actually
+    available."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without CPU affinity
@@ -275,11 +270,14 @@ def _shards(costs: list[int], jobs: int) -> list[list[int]]:
 def _fork_worker(work, shard: list[int]) -> tuple[int, BinaryIO] | None:
     """Fork a child that writes the pickled ``work(shard)`` to a pipe.
     Returns the child's pid and the pipe's read end, opened, or None when
-    the fork fails (at a process limit, say), with the pipe closed again.
+    the pipe or the fork fails, with no descriptor left open.
     Forking is safe because the commands start no threads."""
     import pickle  # here, not at the top: only runs that fork pay for it
 
-    read_end, write_end = os.pipe()
+    try:
+        read_end, write_end = os.pipe()
+    except OSError:  # at the file descriptor limit, say
+        return None
     try:
         pid = os.fork()
     except OSError:
@@ -325,19 +323,19 @@ def _collect(workers: list[tuple[int, BinaryIO]]):
     return pickle.loads(data)
 
 
-def _run_shards(costs: list[int], jobs: int | None, work) -> list:
+def _run_shards(costs: list[int], jobs: int, work) -> list:
     """The result of every item, in item order.
 
     ``work(shard)`` takes a list of item indices and returns ``(results,
     failure)``: one result per item in order, up to the first item that
     fails, and then ``failure`` as ``(key, exception)``, otherwise None.
-    The items are split by ``_shards`` into ``jobs`` shards (by default the
-    usable CPUs; one where ``os.fork`` is missing).  This process runs the
-    first shard and a forked child each other one; once a fork fails, this
-    process runs the rest too.  Of all failures the exception with the
+    The items are split by ``_shards`` into ``jobs`` shards (one where
+    ``os.fork`` is missing).  This process runs the first shard and a forked
+    child each other one; once a pipe or a fork fails, this process runs
+    the rest too.  Of all failures the exception with the
     lowest key is raised, so the results and the error are the same for
     every ``jobs``."""
-    shards = _shards(costs, (jobs or _usable_cpus()) if hasattr(os, "fork") else 1)
+    shards = _shards(costs, jobs if hasattr(os, "fork") else 1)
     local, forked = shards[:1], []
     workers: list[tuple[int, BinaryIO]] = []
     try:
@@ -438,20 +436,23 @@ def cmd_maege_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_version(graphs_dir: Path, chain: VersionChain, k: int) -> SemanticGraph:
-    """The graph of version ``k`` of ``chain``, which must exist and hold the
-    manifest tokens of that version."""
-    vid = version_id(chain.sentence_id, k)
-    path = graphs_dir / f"{vid}.json"
-    if not path.is_file():
-        raise HarnessError(f"no graph file for version {vid!r} at {path}")
-    graph = load_graph(path)
-    if graph.tokens != chain.versions[k]:
-        raise GraphValidationError(
-            f"graph for version {vid!r} at {path} does not have the "
-            "manifest tokens of that version"
-        )
-    return graph
+def _load_chain(graphs_dir: Path, chain: VersionChain) -> dict[str, SemanticGraph]:
+    """The graph of every version of ``chain`` by version id, loaded in
+    version order.  Each must exist and hold the manifest tokens of its
+    version."""
+    graphs = {}
+    for k, tokens in enumerate(chain.versions):
+        vid = version_id(chain.sentence_id, k)
+        path = graphs_dir / f"{vid}.json"
+        if not path.is_file():
+            raise HarnessError(f"no graph file for version {vid!r} at {path}")
+        graphs[vid] = load_graph(path)
+        if graphs[vid].tokens != tokens:
+            raise GraphValidationError(
+                f"graph for version {vid!r} at {path} does not have the "
+                "manifest tokens of that version"
+            )
+    return graphs
 
 
 def cmd_maege_score(args: argparse.Namespace) -> int:
@@ -460,37 +461,31 @@ def cmd_maege_score(args: argparse.Namespace) -> int:
     kwargs = _score_kwargs(args)
 
     def score(shard: list[int]):
-        """Load every version of the shard's chains, then score each chain's
-        versions against its source.  A load failure, keyed ``(0, chain,
-        version)``, comes before any scoring failure, ``(1, chain,
-        version)``, as when one process loads every graph first."""
+        """Load the graphs of the shard's chains, then score each chain.  A
+        load failure, keyed ``(0, chain)``, comes before any scoring failure,
+        ``(1, chain)``, as when one process loads every graph first."""
         graphs = {}
         for c in shard:
-            for k in range(len(chains[c].versions)):
-                try:
-                    graphs[c, k] = _load_version(graphs_dir, chains[c], k)
-                except Exception as exc:
-                    return [], ((0, c, k), exc)
-        averages = []
+            try:
+                graphs.update(_load_chain(graphs_dir, chains[c]))
+            except Exception as exc:
+                return [], ((0, c), exc)
+        results = []
         for c in shard:
-            source = graphs[c, chains[c].source_index]
-            chain_averages = []
-            for k in range(len(chains[c].versions)):
-                try:
-                    chain_averages.append(usim(source, graphs[c, k], **kwargs).average)
-                except Exception as exc:
-                    return averages, ((1, c, k), exc)
-            averages.append(chain_averages)
-        return averages, None
+            try:
+                results.append(version_scores([chains[c]], graphs, **kwargs))
+            except Exception as exc:
+                return results, ((1, c), exc)
+        return results, None
 
     costs = [
         sum(len(chain.versions[chain.source_index]) * len(tokens) for tokens in chain.versions)
         for chain in chains
     ]
     scores = {
-        version_id(chain.sentence_id, k): average
-        for chain, chain_averages in zip(chains, _run_shards(costs, args.jobs, score))
-        for k, average in enumerate(chain_averages)
+        vid: average
+        for chain_scores in _run_shards(costs, _usable_cpus(), score)
+        for vid, average in chain_scores.items()
     }
     _write_report(
         args,
@@ -524,7 +519,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("correction", help="correction corpus (directory or .jsonl)")
     _add_common_flags(p)
     _add_alignment_flags(p)
-    _add_jobs_flag(p, "pairs")
+    p.add_argument(
+        "--jobs", type=_positive_int, default=1,
+        help="score the pairs in this many processes, forked where the "
+        "platform has fork (default: 1)",
+    )
     p.set_defaults(func=cmd_corpus)
 
     p = sub.add_parser("distsim", help="per-label-group count distance over a corpus")
@@ -559,7 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("graphs", help="directory of parsed graphs named <version_id>.json")
     _add_common_flags(s)
     _add_alignment_flags(s)
-    _add_jobs_flag(s, "chains")
     s.set_defaults(func=cmd_maege_score)
 
     return parser

@@ -278,7 +278,7 @@ def load_manifest(path: str | Path) -> list[VersionChain]:
 # -- delta aggregation -----------------------------------------------------
 
 
-def _version_scores(
+def version_scores(
     chains: Sequence[VersionChain],
     parsed_graphs: Mapping[str, SemanticGraph],
     **score_kwargs,
@@ -323,7 +323,7 @@ def per_edit_deltas(
     max_norm_dist: float | None = None,
 ) -> list[tuple[str, Fraction]]:
     """(edit type, score delta) for every applied edit across all chains."""
-    scores = _version_scores(
+    scores = version_scores(
         chains,
         parsed_graphs,
         lowercase=lowercase,
@@ -357,4 +357,4 @@ def compute_deltas(
     **score_kwargs,
 ) -> list[TypeDelta]:
     """Average score change per edit type, sorted by delta descending."""
-    return type_deltas(chains, _version_scores(chains, parsed_graphs, **score_kwargs))
+    return type_deltas(chains, version_scores(chains, parsed_graphs, **score_kwargs))

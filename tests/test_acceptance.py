@@ -261,9 +261,7 @@ def test_criterion_8_roundtrip_and_parallel_determinism(tmp_path):
             (src_dir / f"{gid}.json").write_text(json.dumps(graph_to_dict(g_s)))
             (cor_dir / f"{gid}.json").write_text(json.dumps(graph_to_dict(g_c)))
         seq, par = tmp_path / "seq.tsv", tmp_path / "par.tsv"
-        ok = ok and cli_main([
-            "corpus", str(src_dir), str(cor_dir), "--jobs", "1", "--out", str(seq)
-        ]) == 0
+        ok = ok and cli_main(["corpus", str(src_dir), str(cor_dir), "--out", str(seq)]) == 0
         ok = ok and cli_main([
             "corpus", str(src_dir), str(cor_dir), "--jobs", "6", "--out", str(par)
         ]) == 0

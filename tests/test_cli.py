@@ -12,7 +12,7 @@ import pytest
 
 from fig1 import fig1_correction, fig1_source
 from helpers_build import graph_from_nested
-from semfaith import TokenMismatchError, cli, graph_to_dict
+from semfaith import TokenMismatchError, cli, graph_to_dict, harness
 from semfaith.cli import main
 
 
@@ -167,7 +167,7 @@ def test_corpus_parallel_matches_sequential(tmp_path):
     src, cor = corpus_dirs(tmp_path, pairs)
     out1 = tmp_path / "seq.tsv"
     out2 = tmp_path / "par.tsv"
-    assert main(["corpus", src, cor, "--jobs", "1", "--out", str(out1)]) == 0
+    assert main(["corpus", src, cor, "--out", str(out1)]) == 0
     assert main(["corpus", src, cor, "--jobs", "4", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
@@ -179,12 +179,8 @@ def fig1_corpus(tmp_path, count):
                                   for i in range(count)])
 
 
-@pytest.mark.parametrize("jobs, pairs, forks",
-                         [(1, 4, 0), (2, 4, 1), (3, 4, 2), (4, 4, 3), (9, 4, 3), (3, 1, 0)])
-def test_corpus_jobs_forks_one_child_per_extra_shard(tmp_path, monkeypatch, jobs, pairs, forks):
-    src, cor = fig1_corpus(tmp_path, pairs)
-    seq, par = tmp_path / "seq.tsv", tmp_path / "par.tsv"
-    assert main(["corpus", src, cor, "--jobs", "1", "--out", str(seq)]) == 0
+def count_forks(monkeypatch):
+    """A list that gains an entry at every later ``os.fork`` call."""
     calls = []
     real_fork = os.fork
 
@@ -193,6 +189,16 @@ def test_corpus_jobs_forks_one_child_per_extra_shard(tmp_path, monkeypatch, jobs
         return real_fork()
 
     monkeypatch.setattr(os, "fork", counting_fork)
+    return calls
+
+
+@pytest.mark.parametrize("jobs, pairs, forks",
+                         [(1, 4, 0), (2, 4, 1), (3, 4, 2), (4, 4, 3), (9, 4, 3), (3, 1, 0)])
+def test_corpus_jobs_forks_one_child_per_extra_shard(tmp_path, monkeypatch, jobs, pairs, forks):
+    src, cor = fig1_corpus(tmp_path, pairs)
+    seq, par = tmp_path / "seq.tsv", tmp_path / "par.tsv"
+    assert main(["corpus", src, cor, "--out", str(seq)]) == 0
+    calls = count_forks(monkeypatch)
     assert main(["corpus", src, cor, "--jobs", str(jobs), "--out", str(par)]) == 0
     assert len(calls) == forks
     assert par.read_bytes() == seq.read_bytes()
@@ -201,7 +207,7 @@ def test_corpus_jobs_forks_one_child_per_extra_shard(tmp_path, monkeypatch, jobs
 def test_corpus_jobs_without_fork_scores_in_process(tmp_path, monkeypatch):
     src, cor = fig1_corpus(tmp_path, 3)
     seq, par = tmp_path / "seq.tsv", tmp_path / "par.tsv"
-    assert main(["corpus", src, cor, "--jobs", "1", "--out", str(seq)]) == 0
+    assert main(["corpus", src, cor, "--out", str(seq)]) == 0
     monkeypatch.delattr(os, "fork")
     assert main(["corpus", src, cor, "--jobs", "3", "--out", str(par)]) == 0
     assert par.read_bytes() == seq.read_bytes()
@@ -218,7 +224,7 @@ def test_corpus_worker_exception_exits_as_sequential(tmp_path, monkeypatch, caps
 
     monkeypatch.setattr(cli, "usim", failing_usim)
     out = tmp_path / "out.tsv"
-    assert main(["corpus", src, cor, "--jobs", "1", "--out", str(out)]) == 4
+    assert main(["corpus", src, cor, "--out", str(out)]) == 4
     assert f"s1 failed in process {os.getpid()}" in capsys.readouterr().err
     for jobs in ("2", "4"):  # s1 is in a child's shard
         assert main(["corpus", src, cor, "--jobs", jobs, "--out", str(out)]) == 4
@@ -546,17 +552,18 @@ ALIGNMENT_FLAGS = ("--lowercase", "--strict-parent", "--max-norm-dist")
 )
 def test_help_documents_flags(argv, capsys):
     """Every report command takes the common flags; all but ``distsim``,
-    which aligns no tokens, take the alignment flags too, and the commands
-    that score many pairs, ``corpus`` and ``maege score``, take ``--jobs``."""
+    which aligns no tokens, take the alignment flags too, and only
+    ``corpus`` takes ``--jobs``: ``maege score`` forks one worker per
+    usable CPU."""
     with pytest.raises(SystemExit):
         main(argv + ["--help"])
     out = capsys.readouterr().out
     if argv == ["distsim"]:
         present, absent = COMMON_FLAGS + ("--groups",), ALIGNMENT_FLAGS + ("--jobs",)
-    elif argv == ["score"]:
-        present, absent = COMMON_FLAGS + ALIGNMENT_FLAGS, ("--jobs",)
-    else:
+    elif argv == ["corpus"]:
         present, absent = COMMON_FLAGS + ALIGNMENT_FLAGS + ("--jobs",), ()
+    else:
+        present, absent = COMMON_FLAGS + ALIGNMENT_FLAGS, ("--jobs",)
     for flag in present:
         assert flag in out
     for flag in absent:
@@ -846,35 +853,35 @@ def maege_chains(tmp_path, count, pin_source=None):
     return str(manifest), str(tmp_path)
 
 
+def maege_score(monkeypatch, argv, cpus):
+    """``main(argv)`` for a ``maege score`` argv, with ``cpus`` usable CPUs."""
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    return main(argv)
+
+
 @pytest.mark.parametrize("fmt", ["tsv", "json-lines"])
-def test_maege_score_parallel_matches_sequential(fmt, tmp_path):
+def test_maege_score_parallel_matches_sequential(fmt, tmp_path, monkeypatch):
     manifest, graphs = maege_chains(tmp_path, 5)
+    argv = ["maege", "score", manifest, graphs, "--format", fmt, "--out", str(tmp_path / "out")]
     outs = []
-    for jobs in (["--jobs", "1"], ["--jobs", "2"], ["--jobs", "3"], []):
-        out = tmp_path / f"out{len(outs)}"
-        argv = ["maege", "score", manifest, graphs, "--format", fmt, *jobs]
-        assert main([*argv, "--out", str(out)]) == 0
-        outs.append(out.read_bytes())
+    assert main(argv) == 0  # this machine's CPUs
+    outs.append((tmp_path / "out").read_bytes())
+    for cpus in (1, 2, 3):
+        assert maege_score(monkeypatch, argv, cpus) == 0
+        outs.append((tmp_path / "out").read_bytes())
     assert len(outs[0].splitlines()) == 3 + (fmt == "tsv")  # three edit types
     assert outs[1:] == outs[:1] * 3
 
 
-@pytest.mark.parametrize("jobs, chains, forks", [(1, 3, 0), (2, 3, 1), (3, 3, 2), (5, 3, 2)])
-def test_maege_score_jobs_forks_one_child_per_extra_shard(tmp_path, monkeypatch, jobs, chains,
-                                                           forks):
+@pytest.mark.parametrize("cpus, chains, forks", [(1, 3, 0), (2, 3, 1), (3, 3, 2), (5, 3, 2)])
+def test_maege_score_forks_one_child_per_extra_cpu(tmp_path, monkeypatch, cpus, chains, forks):
     manifest, graphs = maege_chains(tmp_path, chains)
     seq, par = tmp_path / "seq.tsv", tmp_path / "par.tsv"
-    assert main(["maege", "score", manifest, graphs, "--jobs", "1", "--out", str(seq)]) == 0
-    calls = []
-    real_fork = os.fork
-
-    def counting_fork():
-        calls.append(None)
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    argv = ["maege", "score", manifest, graphs, "--jobs", str(jobs), "--out", str(par)]
-    assert main(argv) == 0
+    assert maege_score(monkeypatch, ["maege", "score", manifest, graphs, "--out", str(seq)],
+                       1) == 0
+    calls = count_forks(monkeypatch)
+    assert maege_score(monkeypatch, ["maege", "score", manifest, graphs, "--out", str(par)],
+                       cpus) == 0
     assert len(calls) == forks
     assert par.read_bytes() == seq.read_bytes()
 
@@ -902,26 +909,26 @@ def _retoken_graph(graphs, vid):
         "earlier scoring beats later scoring"])
 def test_maege_score_failure_precedence_as_sequential(tmp_path, monkeypatch, capsys, damage,
                                                       failing, code, message):
-    """With four chains of equal cost, chain i goes to shard i mod jobs, so
-    at ``--jobs 2`` c0 and c2 are scored in this process and c1 and c3 in a
-    child.  Every ``--jobs`` fails as ``--jobs 1`` does: with the first
-    load failure in manifest order, else the first scoring failure."""
+    """With four chains of equal cost, chain i goes to shard i mod shards,
+    so with two CPUs c0 and c2 are scored in this process and c1 and c3 in
+    a child.  Every CPU count fails as one CPU does: with the first load
+    failure in manifest order, else the first scoring failure."""
     manifest, graphs = maege_chains(tmp_path, 4, pin_source=0)
     for change, vid in damage:
         change(graphs, vid)
-    real_usim = cli.usim
+    real_usim = harness.usim
 
     def failing_usim(g_s, g_c, **kwargs):
         if g_c.id in failing:
             raise TokenMismatchError(f"{g_c.id} failed to score")
         return real_usim(g_s, g_c, **kwargs)
 
-    monkeypatch.setattr(cli, "usim", failing_usim)
+    monkeypatch.setattr(harness, "usim", failing_usim)
     out = tmp_path / "out.tsv"
     errors = []
-    for jobs in ("1", "2", "3", "4"):
-        argv = ["maege", "score", manifest, graphs, "--jobs", jobs, "--out", str(out)]
-        assert main(argv) == code
+    for cpus in (1, 2, 3, 4):
+        argv = ["maege", "score", manifest, graphs, "--out", str(out)]
+        assert maege_score(monkeypatch, argv, cpus) == code
         errors.append(capsys.readouterr().err)
         assert not out.exists()
     assert message in errors[0]
@@ -931,53 +938,53 @@ def test_maege_score_failure_precedence_as_sequential(tmp_path, monkeypatch, cap
 def test_maege_score_worker_death_fails_without_report(tmp_path, monkeypatch, capsys):
     manifest, graphs = maege_chains(tmp_path, 2)
     parent = os.getpid()
-    real_usim = cli.usim
+    real_usim = harness.usim
 
     def dying_usim(g_s, g_c, **kwargs):
         if os.getpid() != parent:
             os._exit(7)
         return real_usim(g_s, g_c, **kwargs)
 
-    monkeypatch.setattr(cli, "usim", dying_usim)
+    monkeypatch.setattr(harness, "usim", dying_usim)
     out = tmp_path / "out.tsv"
-    assert main(["maege", "score", manifest, graphs, "--jobs", "2", "--out", str(out)]) == 1
+    assert maege_score(monkeypatch, ["maege", "score", manifest, graphs, "--out", str(out)],
+                       2) == 1
     err = capsys.readouterr().err
     assert "wait status" in err and "exit code 7" in err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["0", "-1"])
-def test_maege_score_rejects_jobs_below_one(edit_corpus, tmp_path, value, capsys):
-    manifest = _manifest_with_graphs(edit_corpus, tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        main(["maege", "score", manifest, str(tmp_path), "--jobs", value])
-    assert exc.value.code == 2
-    assert "--jobs" in capsys.readouterr().err
+def _failing_fork():
+    raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
 
-def test_failed_fork_scores_in_process(tmp_path, monkeypatch):
-    """Where ``os.fork`` fails, as at a process limit, both commands close
-    the pipe and score every shard in this process, as with ``--jobs 1``."""
+def _failing_pipe():
+    raise OSError(errno.EMFILE, "Too many open files")
+
+
+@pytest.mark.parametrize("call, failure", [("fork", _failing_fork), ("pipe", _failing_pipe)],
+                         ids=["fork", "pipe"])
+def test_failed_fork_scores_in_process(tmp_path, monkeypatch, call, failure):
+    """Where ``os.fork`` or ``os.pipe`` fails, as at a process or file
+    descriptor limit, both commands leave no descriptor open and score
+    every shard in this process, as with one job."""
     (tmp_path / "corpus").mkdir()
     (tmp_path / "maege").mkdir()
     src, cor = fig1_corpus(tmp_path / "corpus", 3)
     manifest, graphs = maege_chains(tmp_path / "maege", 3)
-    commands = [["corpus", src, cor], ["maege", "score", manifest, graphs]]
+    corpus = ["corpus", src, cor, "--out", str(tmp_path / "out")]
+    maege = ["maege", "score", manifest, graphs, "--out", str(tmp_path / "out")]
     expected = []
-    for argv in commands:
-        out = tmp_path / "seq.out"
-        assert main([*argv, "--jobs", "1", "--out", str(out)]) == 0
-        expected.append(out.read_bytes())
+    for run in (lambda: main([*corpus, "--jobs", "1"]), lambda: maege_score(monkeypatch, maege, 1)):
+        assert run() == 0
+        expected.append((tmp_path / "out").read_bytes())
 
-    def failing_fork():
-        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-
-    monkeypatch.setattr(os, "fork", failing_fork)
+    monkeypatch.setattr(os, call, failure)
     fds = Path("/proc/self/fd")
-    for argv, want in zip(commands, expected):
-        out = tmp_path / "par.out"
+    runs = (lambda: main([*corpus, "--jobs", "2"]), lambda: maege_score(monkeypatch, maege, 2))
+    for run, want in zip(runs, expected):
         before = len(list(fds.iterdir())) if fds.is_dir() else None
-        assert main([*argv, "--jobs", "2", "--out", str(out)]) == 0
-        assert out.read_bytes() == want
+        assert run() == 0
+        assert (tmp_path / "out").read_bytes() == want
         if before is not None:
             assert len(list(fds.iterdir())) == before
