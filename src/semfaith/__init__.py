@@ -22,11 +22,9 @@ from .graph import (
     edge_instances,
     graph_from_dict,
     graph_to_dict,
-    iter_corpus,
     load_graph,
     parse_graph,
     read_corpus,
-    serialize_graph,
     yield_of,
 )
 from .harness import (
@@ -40,7 +38,6 @@ from .harness import (
     compute_deltas,
     emit_manifest,
     load_manifest,
-    per_edit_deltas,
     read_edit_corpus,
     version_id,
 )
@@ -50,11 +47,9 @@ from .measures import (
     TokenMismatchError,
     UsimReport,
     dag_fscore,
-    default_groups,
     distsim,
     match_edges,
     usim,
-    usim_directed,
     usim_from_alignment,
 )
 

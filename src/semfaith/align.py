@@ -314,9 +314,6 @@ class NodeAlignment:
         """The mapped (aligned, target) pairs, sorted."""
         return tuple(pair for pair, _ in self.weights)
 
-    def as_dict(self) -> dict[str, str]:
-        return dict(self.mapping)
-
     def pair_set(self) -> frozenset[tuple[str, str]]:
         return frozenset(self.mapping)
 

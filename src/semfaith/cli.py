@@ -242,14 +242,37 @@ def _paired_corpora(source_path: str, correction_path: str):
     return [(pair_id, sources[pair_id], corrections[pair_id]) for pair_id in shared]
 
 
+# The cgroup file system, where the CPU quota of this process is read.
+_CGROUP = Path("/sys/fs/cgroup")
+
+
+def _cpu_quota() -> int | None:
+    """The CPUs that this process's cgroup CPU quota allows, rounded up: the
+    quota over the period in cgroup v2 ``cpu.max``, else in v1
+    ``cpu/cpu.cfs_quota_us`` and ``cpu/cpu.cfs_period_us``.  None when there
+    is no quota (``max`` in v2, -1 in v1) or no file that can be read and
+    parsed."""
+    for names in (["cpu.max"], ["cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us"]):
+        try:
+            text = b" ".join((_CGROUP / name).read_bytes() for name in names)
+            quota, period = map(int, text.split())
+        except FileNotFoundError:
+            continue
+        except (OSError, ValueError):  # unreadable, "max", or malformed
+            return None
+        return -(-quota // period) if quota > 0 and period > 0 else None
+    return None
+
+
 def _usable_cpus() -> int:
-    """The number of CPUs this process may run on.  A cgroup CPU quota is
-    not counted, so under a quota this can exceed the CPUs actually
-    available."""
+    """The number of CPUs this process may run on: its CPU affinity count,
+    bounded by its cgroup CPU quota."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without CPU affinity
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    quota = _cpu_quota()
+    return cpus if quota is None else min(cpus, quota)
 
 
 def _shards(costs: list[int], jobs: int) -> list[list[int]]:
@@ -411,7 +434,7 @@ def _load_groups(path: str) -> list[tuple[str, frozenset[str]]]:
 
 def cmd_distsim(args: argparse.Namespace) -> int:
     pairs = _paired_corpora(args.source, args.correction)
-    groups = _load_groups(args.groups) if args.groups else None
+    groups = None if args.groups is None else _load_groups(args.groups)
     rows = distsim(
         [(g_s, g_c) for _, g_s, g_c in pairs],
         groups=groups,

@@ -12,7 +12,6 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
 
 
 class GraphFormatError(ValueError):
@@ -190,16 +189,6 @@ class SemanticGraph:
 
     # -- queries ----------------------------------------------------------
 
-    @property
-    def node_ids(self) -> tuple[str, ...]:
-        return tuple(n.id for n in self.nodes)
-
-    def node(self, node_id: str) -> Node:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(f"graph {self.id!r}: unknown node {node_id!r}")
-
     def children_of(self, node_id: str) -> tuple[str, ...]:
         if node_id not in self._children:
             raise KeyError(f"graph {self.id!r}: unknown node {node_id!r}")
@@ -362,10 +351,6 @@ def parse_graph(text: str) -> SemanticGraph:
     return graph_from_dict(parse_json(text, GraphFormatError, "document"))
 
 
-def serialize_graph(g: SemanticGraph) -> str:
-    return json.dumps(graph_to_dict(g), ensure_ascii=False, sort_keys=True)
-
-
 def load_graph(path: str | Path) -> SemanticGraph:
     text = read_utf8(path, GraphFormatError)
     try:
@@ -374,27 +359,28 @@ def load_graph(path: str | Path) -> SemanticGraph:
         raise GraphFormatError(f"{path}: {exc}") from exc
 
 
-def iter_corpus(path: str | Path) -> Iterator[SemanticGraph]:
-    """Yield graphs from a directory of documents or a newline-delimited file."""
-    path = Path(path)
-    if path.is_dir():
-        for child in sorted(path.iterdir()):
-            if child.is_file():
-                yield load_graph(child)
-        return
-    for lineno, line in enumerate(read_utf8(path, GraphFormatError).splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            yield parse_graph(line)
-        except GraphFormatError as exc:
-            raise GraphFormatError(f"{path} line {lineno}: {exc}") from exc
-
-
 def read_corpus(path: str | Path) -> dict[str, SemanticGraph]:
+    """Graphs by id from a directory of documents or a newline-delimited
+    file, read in order.  A graph whose id an earlier graph has raises."""
     corpus: dict[str, SemanticGraph] = {}
-    for g in iter_corpus(path):
+
+    def add(g: SemanticGraph) -> None:
         if g.id in corpus:
             raise GraphFormatError(f"{path}: duplicate graph id {g.id!r}")
         corpus[g.id] = g
+
+    source = Path(path)
+    if source.is_dir():
+        for child in sorted(source.iterdir()):
+            if child.is_file():
+                add(load_graph(child))
+        return corpus
+    for lineno, line in enumerate(read_utf8(source, GraphFormatError).splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            g = parse_graph(line)
+        except GraphFormatError as exc:
+            raise GraphFormatError(f"{source} line {lineno}: {exc}") from exc
+        add(g)
     return corpus

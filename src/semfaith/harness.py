@@ -222,13 +222,20 @@ def manifest_to_dict(chains: Sequence[VersionChain]) -> dict:
 def chains_from_manifest(doc: dict) -> list[VersionChain]:
     seen: set[str] = set()
     try:
-        tokens_by_vid = {
-            v["version_id"]: _strings(v["tokens"], "tokens") for v in doc["versions"]
-        }
+        tokens_by_vid: dict[str, tuple[str, ...]] = {}
+        for v in doc["versions"]:
+            vid, tokens = v["version_id"], _strings(v["tokens"], "tokens")
+            if vid in tokens_by_vid:
+                raise HarnessError(f"bad manifest: versions repeat version_id {vid!r}")
+            tokens_by_vid[vid] = tokens
         chains = []
         for c in doc["chains"]:
             sid = _claim_sentence_id(c["sentence_id"], seen, "bad manifest")
             versions = tuple(tokens_by_vid[vid] for vid in c["version_ids"])
+            for k, vid in enumerate(c["version_ids"]):
+                if vid != version_id(sid, k):  # maege score reads <version_id(sid, k)>.json
+                    raise HarnessError(f"bad manifest: chain {sid!r}: version_ids[{k}] "
+                                       f"is {vid!r}, not {version_id(sid, k)!r}")
             edits = tuple(_edit_from_dict(e) for e in c["edits"])
             order, source_index = c["order"], c["source_index"]
             _check_replay(sid, versions, edits, order, source_index)
@@ -312,26 +319,6 @@ def _edit_deltas(
                      - scores[version_id(chain.sentence_id, k - 1)])
             deltas.append((edit_type, delta))
     return deltas
-
-
-def per_edit_deltas(
-    chains: Sequence[VersionChain],
-    parsed_graphs: Mapping[str, SemanticGraph],
-    lowercase: bool = False,
-    include_remote: bool = True,
-    strict_parent: bool = False,
-    max_norm_dist: float | None = None,
-) -> list[tuple[str, Fraction]]:
-    """(edit type, score delta) for every applied edit across all chains."""
-    scores = version_scores(
-        chains,
-        parsed_graphs,
-        lowercase=lowercase,
-        include_remote=include_remote,
-        strict_parent=strict_parent,
-        max_norm_dist=max_norm_dist,
-    )
-    return _edit_deltas(chains, scores)
 
 
 def type_deltas(

@@ -165,31 +165,6 @@ def _score_direction(
     return usim_from_alignment(g_s, g_c, pairs, include_remote, strict_parent)
 
 
-def usim_directed(
-    g_s: SemanticGraph,
-    g_c: SemanticGraph,
-    direction: str = S_TO_C,
-    lowercase: bool = False,
-    include_remote: bool = True,
-    strict_parent: bool = False,
-    max_norm_dist: float | None = None,
-) -> ScoreTriple:
-    """USim for one alignment direction, equal to ``usim(...).s_to_c`` or
-    ``.c_to_s`` but without scoring the other direction.
-
-    Both directions report precision over the correction's edges and recall
-    over the source's; the direction only controls which side's nodes are
-    argmax-aligned onto the other.
-    """
-    if direction not in (S_TO_C, C_TO_S):
-        raise ValueError(f"unknown direction {direction!r}")
-    a_l = align_leaves(
-        g_s.token_texts(), g_c.token_texts(),
-        lowercase=lowercase, max_norm_dist=max_norm_dist,
-    )
-    return _score_direction(g_s, g_c, a_l, direction, include_remote, strict_parent)
-
-
 def usim(
     g_s: SemanticGraph,
     g_c: SemanticGraph,
@@ -200,8 +175,11 @@ def usim(
 ) -> UsimReport:
     """USim in both alignment directions plus their average F-score.
 
-    The leaf alignment does not depend on the direction, so it is computed
-    once and lifted to a node alignment in each direction.
+    Both directions report precision over the correction's edges and recall
+    over the source's; the direction only controls which side's nodes are
+    argmax-aligned onto the other.  The leaf alignment does not depend on
+    the direction, so it is computed once and lifted to a node alignment in
+    each direction.
     """
     a_l = align_leaves(
         g_s.token_texts(), g_c.token_texts(),

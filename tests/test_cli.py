@@ -350,6 +350,16 @@ def test_distsim_default_groups_present_when_zero(tmp_path, capsys):
     assert names == ["A+D", "Scene", "E"]
 
 
+def test_distsim_empty_groups_path_exits_3(tmp_path, capsys):
+    """An empty ``--groups`` path is read like any other, so it fails as an
+    unreadable file instead of falling back to the default groups."""
+    src, cor = corpus_dirs(tmp_path, [("fig1", fig1_source(), fig1_correction())])
+    out = tmp_path / "report.tsv"
+    assert main(["distsim", src, cor, "--groups", "", "--out", str(out)]) == 3
+    assert "cannot read" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- maege -----------------------------------------------------------------
 
 
@@ -569,6 +579,32 @@ def test_help_documents_flags(argv, capsys):
     for flag in absent:
         assert flag not in out
     assert "default" in out
+
+
+PUBLIC_NAMES = {
+    "C_TO_S", "Edge", "EdgeInstance", "EditOperation", "GraphFormatError",
+    "GraphValidationError", "HarnessError", "LabelDistSim", "LeafAlignment", "Node",
+    "NodeAlignment", "S_TO_C", "ScoreTriple", "SemanticGraph", "TokenMismatchError",
+    "TypeDelta", "UsimReport", "VersionChain", "align_leaves", "apply_edit",
+    "apply_edits_in_order", "build_chain", "compute_deltas", "dag_fscore", "distsim",
+    "edge_instances", "edit_distance", "emit_manifest", "extend_alignment",
+    "format_alignment_dump", "graph_from_dict", "graph_to_dict", "load_graph",
+    "load_manifest", "match_edges", "parse_graph", "read_corpus", "read_edit_corpus",
+    "usim", "usim_from_alignment", "version_id", "yield_of",
+}
+
+
+def test_package_exports_only_the_pinned_names():
+    """Every name ``semfaith`` exports, submodules aside, is called by the
+    CLI, the benchmark or the tests; a new export must be added here."""
+    import types
+
+    import semfaith
+
+    exported = {name for name in dir(semfaith) if not name.startswith("_")
+                and not isinstance(getattr(semfaith, name), types.ModuleType)}
+    assert exported == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 42
 
 
 @pytest.mark.parametrize("flags", [["--lowercase"], ["--strict-parent"],
@@ -799,6 +835,36 @@ def test_maege_score_rejects_chain_that_does_not_replay(edit_corpus, tmp_path, k
     assert message in capsys.readouterr().err
 
 
+def test_maege_score_rejects_version_ids_it_does_not_read(edit_corpus, tmp_path, capsys):
+    """Renamed version ids would name graph files that ``maege score`` never
+    reads, since it reads ``<version_id(sid, k)>.json``: they exit 3 even
+    with a graph under every name."""
+    manifest = _manifest_with_graphs(edit_corpus, tmp_path)
+    doc = json.loads(Path(manifest).read_text())
+    for v in doc["versions"]:
+        v["version_id"] = "X" + v["version_id"]
+    for c in doc["chains"]:
+        c["version_ids"] = ["X" + vid for vid in c["version_ids"]]
+    Path(manifest).write_text(json.dumps(doc))
+    write_version_graphs(doc, tmp_path)
+    assert main(["maege", "score", manifest, str(tmp_path)]) == 3
+    assert ("chain 's1': version_ids[0] is 'Xs1.v0', not 's1.v0'"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("tokens_of", [0, -1])
+def test_maege_score_rejects_repeated_version_id(edit_corpus, tmp_path, tokens_of, capsys):
+    """A second ``versions`` entry for ``s1.v0`` exits 3 naming the id,
+    whether it repeats the tokens of ``s1.v0`` or has the last version's."""
+    def change(doc):
+        tokens = doc["versions"][tokens_of]["tokens"]
+        doc["versions"].append({"version_id": "s1.v0", "tokens": tokens})
+
+    manifest = _manifest_with_graphs(edit_corpus, tmp_path, change)
+    assert main(["maege", "score", manifest, str(tmp_path)]) == 3
+    assert "versions repeat version_id 's1.v0'" in capsys.readouterr().err
+
+
 def test_maege_score_rejects_graph_with_other_tokens(edit_corpus, tmp_path, capsys):
     manifest = _manifest_with_graphs(edit_corpus, tmp_path)
     assert main(["maege", "score", manifest, str(tmp_path)]) == 0
@@ -884,6 +950,40 @@ def test_maege_score_forks_one_child_per_extra_cpu(tmp_path, monkeypatch, cpus, 
                        cpus) == 0
     assert len(calls) == forks
     assert par.read_bytes() == seq.read_bytes()
+
+
+V1_QUOTA, V1_PERIOD = "cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us"
+
+
+@pytest.mark.parametrize("files, cpus", [
+    ({}, 4),
+    ({"cpu.max": b"max 100000\n"}, 4),
+    ({"cpu.max": b"150000 100000\n"}, 2),
+    ({"cpu.max": b"50000 100000\n"}, 1),
+    ({"cpu.max": b"800000 100000\n"}, 4),  # a bound above the affinity count
+    ({V1_QUOTA: b"-1\n", V1_PERIOD: b"100000\n"}, 4),
+    ({V1_QUOTA: b"250000\n", V1_PERIOD: b"100000\n"}, 3),
+    ({V1_QUOTA: b"250000\n"}, 4),  # no period file
+    ({"cpu.max": b"150000\n"}, 4),
+    ({"cpu.max": b"garbage 100000\n"}, 4),
+    ({"cpu.max": b"\xff\xfe"}, 4),
+    ({V1_QUOTA: b"100000\n", V1_PERIOD: b"0\n"}, 4),
+    ({"cpu.max/": b""}, 4),  # a directory where the file should be: unreadable
+], ids=["none", "v2 max", "v2 1.5", "v2 0.5", "v2 8", "v1 -1", "v1 2.5", "v1 no period",
+        "v2 one field", "v2 garbage", "v2 not text", "v1 zero period", "v2 unreadable"])
+def test_usable_cpus_bounded_by_cgroup_quota(tmp_path, monkeypatch, files, cpus):
+    """The affinity count, bounded by the cgroup CPU quota rounded up; a
+    missing, unreadable or malformed quota file is no bound."""
+    for name, content in files.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if name.endswith("/"):
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+    monkeypatch.setattr(cli, "_CGROUP", tmp_path)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    assert cli._usable_cpus() == cpus
 
 
 def _remove_graph(graphs, vid):

@@ -16,10 +16,10 @@ from semfaith import (
     compute_deltas,
     emit_manifest,
     load_manifest,
-    per_edit_deltas,
     read_edit_corpus,
     version_id,
 )
+from semfaith.harness import _edit_deltas, version_scores
 
 EDIT_TYPES = ["Mec", "ArtOrDet", "Wci", "Nn", "Vt"]
 
@@ -211,7 +211,7 @@ def test_compute_deltas_aggregation_matches_raw():
         tokens = [rng.choice(WORDS) for _ in range(n)]
         chains.append(build_chain(f"s{i}", tokens, random_edits(rng, n), seed=8))
     graphs = graphs_for(chains)
-    raw = per_edit_deltas(chains, graphs)
+    raw = _edit_deltas(chains, version_scores(chains, graphs))
     report = compute_deltas(chains, graphs)
     for td in report:
         mine = [d for t, d in raw if t == td.edit_type]

@@ -22,9 +22,9 @@ from semfaith import (
     dag_fscore,
     distsim,
     edge_instances,
+    extend_alignment,
     match_edges,
     usim,
-    usim_directed,
     usim_from_alignment,
     yield_of,
 )
@@ -144,7 +144,7 @@ def test_dag_fscore_collapses_to_parseval_on_trees():
 
 def test_match_edges_identity():
     g = fig1_correction()
-    identity = {(nid, nid) for nid in g.node_ids}
+    identity = {(n.id, n.id) for n in g.nodes}
     matches = match_edges(g, g, identity)
     matched = {si for si, _ in matches}
     assert len(matched) == len(edge_instances(g))
@@ -174,7 +174,7 @@ def test_match_edges_fig1():
 
 
 def test_usim_directed_fig1_forward():
-    t = usim_directed(fig1_source(), fig1_correction(), S_TO_C)
+    t = usim(fig1_source(), fig1_correction()).s_to_c
     # worked-example counts: 7 of 9 learner instances matched, 7 of 7
     # correction instances matched; precision here follows the body
     # definition (over the correction side), so the 7/9 ratio lands on recall
@@ -186,29 +186,20 @@ def test_usim_directed_fig1_forward():
 
 
 def test_usim_directed_fig1_backward():
-    t = usim_directed(fig1_source(), fig1_correction(), C_TO_S)
+    t = usim(fig1_source(), fig1_correction()).c_to_s
     assert t.precision == Fraction(5, 7)
     assert t.recall == Fraction(5, 9)
     assert t.f_score == Fraction(5, 8)
 
 
-def test_usim_directed_rejects_unknown_direction():
+def test_extend_alignment_rejects_unknown_direction():
+    g_s, g_c = fig1_source(), fig1_correction()
+    a_l = align_leaves(g_s.token_texts(), g_c.token_texts())
     with pytest.raises(ValueError):
-        usim_directed(fig1_source(), fig1_correction(), "both")
+        extend_alignment(g_s, g_c, a_l, "both")
 
 
-def test_usim_directed_equals_usim_direction():
-    rng = random.Random(67)
-    for _ in range(10):
-        g_s, g_c = random_valid_graph(rng, "s"), random_valid_graph(rng, "c")
-        for options in ({}, {"lowercase": True, "max_norm_dist": 0.5},
-                        {"include_remote": False, "strict_parent": True}):
-            report = usim(g_s, g_c, **options)
-            assert usim_directed(g_s, g_c, S_TO_C, **options) == report.s_to_c
-            assert usim_directed(g_s, g_c, C_TO_S, **options) == report.c_to_s
-
-
-def test_usim_directed_lifts_one_direction(monkeypatch):
+def test_usim_lifts_each_direction_once(monkeypatch):
     import semfaith.measures
 
     calls = []
@@ -219,10 +210,8 @@ def test_usim_directed_lifts_one_direction(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(semfaith.measures, "extend_alignment", counting)
-    for direction in (S_TO_C, C_TO_S):
-        calls.clear()
-        usim_directed(fig1_source(), fig1_correction(), direction)
-        assert calls == [direction]
+    usim(fig1_source(), fig1_correction())
+    assert calls == [S_TO_C, C_TO_S]
 
 
 def test_usim_fig1_average():
