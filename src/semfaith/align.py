@@ -6,15 +6,15 @@ weight, dropping zero-weight candidates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import add, sub
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .graph import SemanticGraph, yield_of
+from .graph import SemanticGraph
 
 _INF = float("inf")
+_ONE = Fraction(1)
 S_TO_C = "s_to_c"
 C_TO_S = "c_to_s"
 
@@ -83,17 +83,25 @@ def _distance_table(src: Sequence[str], dst: Sequence[str]) -> list[tuple[int, .
     return list(zip(*columns))
 
 
-@dataclass(frozen=True)
-class LeafAlignment:
-    """Partial 1-to-1 pairing of source token indices to correction indices."""
-
+class _LeafPairs(NamedTuple):
     pairs: frozenset[tuple[int, int]]
 
-    def __post_init__(self) -> None:
-        src = [i for i, _ in self.pairs]
-        dst = [j for _, j in self.pairs]
+
+class LeafAlignment(_LeafPairs):
+    """Partial 1-to-1 pairing of source token indices to correction indices."""
+
+    __slots__ = ()
+
+    def __new__(cls, pairs):
+        src = [i for i, _ in pairs]
+        dst = [j for _, j in pairs]
         if len(set(src)) != len(src) or len(set(dst)) != len(dst):
             raise ValueError("leaf alignment is not 1-to-1")
+        return super().__new__(cls, pairs)
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through here: check it too
+        return cls(*fields)
 
     def source_to_correction(self) -> dict[int, int]:
         return dict(sorted(self.pairs))
@@ -296,8 +304,7 @@ def _canonicalize(
     return list(zip(rows, cols))
 
 
-@dataclass(frozen=True)
-class NodeAlignment:
+class NodeAlignment(NamedTuple):
     """Partial many-to-1 map from one graph's nodes onto the other's.
 
     ``direction`` names which side is being aligned: ``s_to_c`` maps source
@@ -341,62 +348,68 @@ def extend_alignment(
         token_map = leaf_alignment.source_to_correction()
     else:
         token_map = leaf_alignment.correction_to_source()
-    target_leaves = g_target.anchored_leaves()
+    target_leaves = g_target._leaves
 
-    # Target nodes with equal yields tie on weight and yield size, so each
-    # distinct non-empty target yield has one candidate: its smallest id.
-    candidates: dict[frozenset[int], str] = {}
-    for target_node in g_target.nodes:
-        u = target_node.id
-        yu = yield_of(g_target, u)
-        if yu and (yu not in candidates or u < candidates[yu]):
-            candidates[yu] = u
-    # Preference order among equal weights: larger yield, then smaller id.
-    targets = sorted(
-        (-len(yu), u, sum(1 << b for b in yu)) for yu, u in candidates.items()
-    )
-
-    best_by_yield: dict[frozenset[int], tuple[str, Fraction] | None] = {}
+    # partners[v]: the target tokens aligned to v's yield, as a bitmask
+    partners = dict.fromkeys(g_aligned._yields, 0)
     weights: list[tuple[tuple[str, str], Fraction]] = []
-    for node in g_aligned.nodes:
-        if node.anchor is not None:
-            partner = token_map.get(node.anchor)
-            if partner is not None:
-                weights.append(((node.id, target_leaves[partner]), Fraction(1)))
+    for a, leaf in g_aligned._leaves.items():
+        b = token_map.get(a)
+        if b is not None:
+            partners[leaf] = 1 << b
+            weights.append(((leaf, target_leaves[b]), _ONE))
+
+    targets = _targets(g_target)
+    children = g_aligned._children
+    best_by_partners: dict[int, tuple[str, Fraction] | None] = {}
+    for v in reversed(g_aligned._order):
+        kids = children[v]
+        if not kids:
+            continue  # a leaf, done above, or an implicit unit
+        acc = 0
+        for kid in kids:
+            acc |= partners[kid]
+        partners[v] = acc
+        if not acc:
             continue
-        if not g_aligned.children_of(node.id):
-            continue  # implicit unit
-        yv = yield_of(g_aligned, node.id)
-        if yv not in best_by_yield:
-            best_by_yield[yv] = _best_target(yv, token_map, targets)
-        best = best_by_yield[yv]
+        if acc not in best_by_partners:
+            best_by_partners[acc] = _best_target(acc, targets)
+        best = best_by_partners[acc]
         if best is not None:
-            weights.append(((node.id, best[0]), best[1]))
+            weights.append(((v, best[0]), best[1]))
     weights.sort()
     return NodeAlignment(direction, tuple(weights))
 
 
+def _targets(g: SemanticGraph) -> list[tuple[int, str, int]]:
+    """(-|yu|, u, token bitmask of yu) for each distinct non-empty yield yu
+    of ``g``, sorted: the candidate order among equal weights.  Nodes with
+    equal yields tie on weight and yield size, so each yield has one
+    candidate, its smallest id.  Built once per graph, then stored on it."""
+    if g._targets is None:
+        candidates: dict[int, str] = {}
+        for u, yu in sorted(g._yields.items()):
+            if yu:
+                candidates.setdefault(yu, u)
+        g._targets = sorted((-yu.bit_count(), u, yu) for yu, u in candidates.items())
+    return g._targets
+
+
 def _best_target(
-    yv: frozenset[int],
-    token_map: dict[int, int],
-    targets: list[tuple[int, str, int]],
+    partners: int, targets: list[tuple[int, str, int]]
 ) -> tuple[str, Fraction] | None:
-    """The target with maximal positive weight |partners(yv) & yu| / |yu|,
-    the first in ``targets`` order among equal weights.  ``targets`` holds
-    (-|yu|, id, token bitmask of yu); weights are compared exactly by
-    cross-multiplying hits and yield sizes."""
-    partners = 0
-    for a in yv:
-        b = token_map.get(a)
-        if b is not None:
-            partners |= 1 << b
-    if not partners:
-        return None
+    """The target with maximal positive weight |partners & yu| / |yu|, the
+    first in ``targets`` order among equal weights.  Weights are compared
+    exactly by cross-multiplying hits and yield sizes.  No weight is above
+    1 and a later target wins only with a higher one, so the scan stops at
+    the first weight-1 target."""
     best_hits, best_size, best_id = 0, 1, None
     for neg_size, u, yu in targets:
         hits = (partners & yu).bit_count()
         if hits * best_size > best_hits * -neg_size:
             best_hits, best_size, best_id = hits, -neg_size, u
+            if hits == -neg_size:
+                break
     if best_id is None:
         return None
     return best_id, Fraction(best_hits, best_size)

@@ -4,7 +4,6 @@ same inputs, flags, and seed."""
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -54,7 +53,7 @@ class WorkerError(RuntimeError):
 # The exit code of each error that main reports; argparse exits 2 on a bad flag.
 EXIT_CODES = {
     WorkerError: 1,  # a scoring worker process died without a result
-    GraphFormatError: 3,  # malformed input, or a field that TSV cannot hold
+    GraphFormatError: 3,  # malformed input, an empty input path, or a field TSV cannot hold
     HarnessError: 3,
     GraphValidationError: 4,  # well-formed input violating an invariant/precondition
     TokenMismatchError: 4,
@@ -218,7 +217,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     report = usim(g_s, g_c, **_score_kwargs(args))
     _write_report(
         args,
-        ["direction", *(field.name for field in dataclasses.fields(ScoreTriple))],
+        ["direction", *ScoreTriple._fields],
         [[name, *_triple_dict(t).values()]
          for name, t in (("s_to_c", report.s_to_c), ("c_to_s", report.c_to_s))]
         + [["average", _fmt(report.average)]],
@@ -586,9 +585,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The arguments that name an input file or directory.  An empty one would
+# be Path(""), the current directory.
+_INPUT_PATHS = ("source", "correction", "edit_corpus", "manifest", "graphs", "groups")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for name in _INPUT_PATHS:
+            if getattr(args, name, None) == "":
+                raise GraphFormatError(f"cannot read {name.replace('_', ' ')}: the path is empty")
         return args.func(args)
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 
 class GraphFormatError(ValueError):
@@ -22,22 +22,19 @@ class GraphValidationError(ValueError):
     """Structurally well-formed document that violates a graph invariant."""
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     id: str
     anchor: int | None = None  # token index for anchored leaves
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     parent: str
     child: str
     labels: frozenset[str]
     remote: bool = False
 
 
-@dataclass(frozen=True)
-class EdgeInstance:
+class EdgeInstance(NamedTuple):
     """One (parent, child, label) triple; multi-label edges expand to several."""
 
     parent: str
@@ -46,168 +43,178 @@ class EdgeInstance:
     remote: bool = False
 
 
-@dataclass(frozen=True)
-class SemanticGraph:
+class _GraphFields(NamedTuple):
     id: str
     tokens: tuple[str, ...]
     nodes: tuple[Node, ...]
     edges: tuple[Edge, ...]
     root: str
-    # Derived state, not constructor arguments, so that dataclasses.replace()
-    # starts the new graph with empty stores.  _yields and _children are
-    # filled in by _validate(), keyed by node id; _instances by
-    # edge_instances() on first use, keyed by include_remote.
-    _yields: dict[str, frozenset[int]] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
-    _children: dict[str, tuple[str, ...]] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
-    _instances: dict[bool, tuple[EdgeInstance, ...]] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
 
-    def __post_init__(self) -> None:
+
+class SemanticGraph(_GraphFields):
+    """A validated graph.  Its five fields are read-only and make up its
+    equality and hash.  The stores derived from them are attributes outside
+    both: ``_validate`` fills ``_yields`` (node id -> token bitmask),
+    ``_children`` (node id -> child ids), ``_order`` (node ids, every parent
+    before its children) and ``_leaves`` (token index -> anchoring leaf id);
+    ``edge_instances`` fills ``_instances`` and the alignment ``_targets``
+    on first use."""
+
+    def __new__(cls, id, tokens, nodes, edges, root):
+        self = super().__new__(cls, id, tokens, nodes, edges, root)
         self._validate()
+        self._instances = {}
+        self._targets = None
+        return self
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through here: validate it too
+        return cls(*fields)
 
     # -- construction-time validation ------------------------------------
 
     def _validate(self) -> None:
-        for i, tok in enumerate(self.tokens):
-            if not tok:
-                raise GraphValidationError(
-                    f"graph {self.id!r}: token {i} has empty text"
-                )
+        gid, tokens, nodes, edges, root = self
+        if not all(tokens):
+            i = next(i for i, tok in enumerate(tokens) if not tok)
+            raise GraphValidationError(f"graph {gid!r}: token {i} has empty text")
 
-        ids = [n.id for n in self.nodes]
-        if len(set(ids)) != len(ids):
+        anchors = dict(nodes)  # node id -> anchor
+        if len(anchors) != len(nodes):
+            ids = [n.id for n in nodes]
             dup = sorted({x for x in ids if ids.count(x) > 1})
-            raise GraphValidationError(f"graph {self.id!r}: duplicate node ids {dup}")
-        if any(not n.id for n in self.nodes):
-            raise GraphValidationError(f"graph {self.id!r}: empty node id")
-        by_id = {n.id: n for n in self.nodes}
-        if self.root not in by_id:
+            raise GraphValidationError(f"graph {gid!r}: duplicate node ids {dup}")
+        if not all(anchors):
+            raise GraphValidationError(f"graph {gid!r}: empty node id")
+        if root not in anchors:
             raise GraphValidationError(
-                f"graph {self.id!r}: root {self.root!r} is not a declared node"
+                f"graph {gid!r}: root {root!r} is not a declared node"
             )
 
-        children: dict[str, list[str]] = {n.id: [] for n in self.nodes}
-        incoming: dict[str, int] = {n.id: 0 for n in self.nodes}
-        for e in self.edges:
-            for endpoint in (e.parent, e.child):
-                if endpoint not in by_id:
-                    raise GraphValidationError(
-                        f"graph {self.id!r}: edge {e.parent!r}->{e.child!r} "
-                        f"references undeclared node {endpoint!r}"
-                    )
-            if e.parent == e.child:
+        children: dict[str, list[str]] = {nid: [] for nid in anchors}
+        incoming = dict.fromkeys(anchors, 0)
+        for parent, child, labels, _ in edges:
+            if parent not in anchors or child not in anchors:
+                endpoint = child if parent in anchors else parent
                 raise GraphValidationError(
-                    f"graph {self.id!r}: self-loop on node {e.parent!r}"
+                    f"graph {gid!r}: edge {parent!r}->{child!r} "
+                    f"references undeclared node {endpoint!r}"
                 )
-            if not e.labels:
+            if parent == child:
+                raise GraphValidationError(f"graph {gid!r}: self-loop on node {parent!r}")
+            if not labels:
                 raise GraphValidationError(
-                    f"graph {self.id!r}: edge {e.parent!r}->{e.child!r} has no labels"
+                    f"graph {gid!r}: edge {parent!r}->{child!r} has no labels"
                 )
-            children[e.parent].append(e.child)
-            incoming[e.child] += 1
+            children[parent].append(child)
+            incoming[child] += 1
 
-        if incoming[self.root]:
+        if incoming[root]:
             raise GraphValidationError(
-                f"graph {self.id!r}: root {self.root!r} has an incoming edge"
+                f"graph {gid!r}: root {root!r} has an incoming edge"
             )
-        for nid, count in incoming.items():
-            if nid != self.root and count == 0:
-                raise GraphValidationError(
-                    f"graph {self.id!r}: node {nid!r} has no incoming edge"
-                )
+        if list(incoming.values()).count(0) != 1:
+            nid = next(nid for nid, count in incoming.items() if nid != root and not count)
+            raise GraphValidationError(f"graph {gid!r}: node {nid!r} has no incoming edge")
 
         # anchors: bijection between anchored nodes and token indices
-        anchor_of: dict[int, str] = {}
-        for n in self.nodes:
-            if n.anchor is None:
+        leaves: dict[int, str] = {}
+        for nid, anchor in anchors.items():
+            if anchor is None:
                 continue
-            if not 0 <= n.anchor < len(self.tokens):
+            if not 0 <= anchor < len(tokens):
                 raise GraphValidationError(
-                    f"graph {self.id!r}: node {n.id!r} anchors out-of-range "
-                    f"token {n.anchor}"
+                    f"graph {gid!r}: node {nid!r} anchors out-of-range token {anchor}"
                 )
-            if n.anchor in anchor_of:
+            if anchor in leaves:
                 raise GraphValidationError(
-                    f"graph {self.id!r}: token {n.anchor} anchored by both "
-                    f"{anchor_of[n.anchor]!r} and {n.id!r}"
+                    f"graph {gid!r}: token {anchor} anchored by both "
+                    f"{leaves[anchor]!r} and {nid!r}"
                 )
-            if children[n.id]:
+            if children[nid]:
                 raise GraphValidationError(
-                    f"graph {self.id!r}: anchored node {n.id!r} has outgoing edges"
+                    f"graph {gid!r}: anchored node {nid!r} has outgoing edges"
                 )
-            anchor_of[n.anchor] = n.id
-        missing = [i for i in range(len(self.tokens)) if i not in anchor_of]
-        if missing:
+            leaves[anchor] = nid
+        if len(leaves) != len(tokens):
+            missing = [i for i in range(len(tokens)) if i not in leaves]
             raise GraphValidationError(
-                f"graph {self.id!r}: tokens {missing} are not anchored by any leaf"
+                f"graph {gid!r}: tokens {missing} are not anchored by any leaf"
             )
 
-        # acyclicity + reachability, one DFS from the root
-        order: list[str] = []
-        state: dict[str, int] = {}  # 1 = on stack, 2 = done
-        stack: list[tuple[str, int]] = [(self.root, 0)]
-        state[self.root] = 1
-        while stack:
-            nid, ci = stack[-1]
-            kids = children[nid]
-            if ci < len(kids):
-                stack[-1] = (nid, ci + 1)
-                kid = kids[ci]
-                st = state.get(kid)
-                if st == 1:
-                    raise GraphValidationError(
-                        f"graph {self.id!r}: cycle through edge {nid!r}->{kid!r}"
-                    )
-                if st is None:
-                    state[kid] = 1
-                    stack.append((kid, 0))
-            else:
-                state[nid] = 2
-                order.append(nid)
-                stack.pop()
-        unreachable = sorted(nid for nid in by_id if nid not in state)
-        if unreachable:
-            raise GraphValidationError(
-                f"graph {self.id!r}: nodes unreachable from root: {unreachable}"
-            )
-
-        # yields in reverse topological order (children first)
-        yields: dict[str, frozenset[int]] = {}
+        # Kahn's algorithm from the root, the only node without an incoming
+        # edge.  It orders every node exactly when all are reachable and none
+        # is on a cycle; otherwise the DFS names the fault.
+        order = [root]
         for nid in order:
-            node = by_id[nid]
-            acc: set[int] = set() if node.anchor is None else {node.anchor}
+            for kid in children[nid]:
+                incoming[kid] -= 1
+                if not incoming[kid]:
+                    order.append(kid)
+        if len(order) != len(anchors):
+            _raise_cycle_or_unreachable(gid, root, children)
+
+        # yields, children first
+        yields: dict[str, int] = {}
+        for nid in reversed(order):
+            anchor = anchors[nid]
+            acc = 0 if anchor is None else 1 << anchor
             for kid in children[nid]:
                 acc |= yields[kid]
-            yields[nid] = frozenset(acc)
-        self._yields.update(yields)
-        self._children.update({nid: tuple(kids) for nid, kids in children.items()})
+            yields[nid] = acc
+        self._yields = yields
+        self._children = children
+        self._order = order
+        self._leaves = leaves
 
     # -- queries ----------------------------------------------------------
 
     def children_of(self, node_id: str) -> tuple[str, ...]:
         if node_id not in self._children:
             raise KeyError(f"graph {self.id!r}: unknown node {node_id!r}")
-        return self._children[node_id]
+        return tuple(self._children[node_id])
 
     def token_texts(self, lowercase: bool = False) -> list[str]:
         return [t.lower() for t in self.tokens] if lowercase else list(self.tokens)
 
     def anchored_leaves(self) -> dict[int, str]:
         """Token index -> id of the leaf anchoring it."""
-        return {n.anchor: n.id for n in self.nodes if n.anchor is not None}
+        return dict(self._leaves)
+
+
+def _raise_cycle_or_unreachable(gid: str, root: str, children: dict[str, list[str]]):
+    """Raise for the first cycle a DFS from the root meets, else for the
+    nodes it does not reach."""
+    state: dict[str, int] = {root: 1}  # 1 = on stack, 2 = done
+    stack: list[tuple[str, int]] = [(root, 0)]
+    while stack:
+        nid, ci = stack[-1]
+        kids = children[nid]
+        if ci < len(kids):
+            stack[-1] = (nid, ci + 1)
+            kid = kids[ci]
+            st = state.get(kid)
+            if st == 1:
+                raise GraphValidationError(
+                    f"graph {gid!r}: cycle through edge {nid!r}->{kid!r}"
+                )
+            if st is None:
+                state[kid] = 1
+                stack.append((kid, 0))
+        else:
+            state[nid] = 2
+            stack.pop()
+    unreachable = sorted(nid for nid in children if nid not in state)
+    raise GraphValidationError(f"graph {gid!r}: nodes unreachable from root: {unreachable}")
 
 
 def yield_of(g: SemanticGraph, node_id: str) -> frozenset[int]:
     """Token indices anchored by leaf descendants of the node (itself included)."""
     try:
-        return g._yields[node_id]
+        mask = g._yields[node_id]
     except KeyError:
         raise KeyError(f"graph {g.id!r}: unknown node {node_id!r}") from None
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def edge_instances(
@@ -255,38 +262,67 @@ def _require(obj: dict, key: str, kind: type, where: str):
     return value
 
 
+def _node(raw, where: str, i: int) -> Node:
+    """``nodes[i]`` of a document, checked field by field."""
+    if not isinstance(raw, dict):
+        raise GraphFormatError(f"{where}: nodes[{i}] must be an object")
+    nid = _require(raw, "id", str, f"{where} nodes[{i}]")
+    anchor = raw.get("anchor")
+    if anchor is not None and (isinstance(anchor, bool) or not isinstance(anchor, int)):
+        raise GraphFormatError(f"{where}: nodes[{i}].anchor must be an integer")
+    return Node(nid, anchor)
+
+
+def _edge(raw, where: str, i: int) -> Edge:
+    """``edges[i]`` of a document, checked field by field."""
+    if not isinstance(raw, dict):
+        raise GraphFormatError(f"{where}: edges[{i}] must be an object")
+    ewhere = f"{where} edges[{i}]"
+    parent = _require(raw, "parent", str, ewhere)
+    child = _require(raw, "child", str, ewhere)
+    labels = _require(raw, "labels", list, ewhere)
+    if not all(isinstance(x, str) for x in labels):
+        raise GraphFormatError(f"{ewhere}: labels must be strings")
+    remote = raw.get("remote", False)
+    if not isinstance(remote, bool):
+        raise GraphFormatError(f"{ewhere}: remote must be a boolean")
+    return Edge(parent, child, frozenset(labels), remote)
+
+
+_is_str = str.__instancecheck__  # isinstance(x, str), as a function for map
+
+
 def graph_from_dict(doc: dict) -> SemanticGraph:
+    """The graph of an interchange document.  A node or edge record that
+    holds exactly the JSON types costs one type test per field; any other
+    goes through ``_node`` or ``_edge``, which name its first fault or, for
+    a subclass of those types, build the same record."""
     if not isinstance(doc, dict):
         raise GraphFormatError(f"document must be an object, got {type(doc).__name__}")
     gid = _require(doc, "id", str, "document")
     where = f"graph {gid!r}"
     tokens = _require(doc, "tokens", list, where)
-    for i, text in enumerate(tokens):
-        if not isinstance(text, str):
-            raise GraphFormatError(f"{where}: tokens[{i}] must be a string")
+    if not all(map(_is_str, tokens)):
+        i = next(i for i, text in enumerate(tokens) if not isinstance(text, str))
+        raise GraphFormatError(f"{where}: tokens[{i}] must be a string")
     nodes = []
     for i, raw in enumerate(_require(doc, "nodes", list, where)):
-        if not isinstance(raw, dict):
-            raise GraphFormatError(f"{where}: nodes[{i}] must be an object")
-        nid = _require(raw, "id", str, f"{where} nodes[{i}]")
-        anchor = raw.get("anchor")
-        if anchor is not None and (isinstance(anchor, bool) or not isinstance(anchor, int)):
-            raise GraphFormatError(f"{where}: nodes[{i}].anchor must be an integer")
-        nodes.append(Node(nid, anchor))
+        if type(raw) is dict:
+            nid, anchor = raw.get("id"), raw.get("anchor")
+            if type(nid) is str and (anchor is None or type(anchor) is int):
+                nodes.append(Node(nid, anchor))
+                continue
+        nodes.append(_node(raw, where, i))
     edges = []
     for i, raw in enumerate(_require(doc, "edges", list, where)):
-        if not isinstance(raw, dict):
-            raise GraphFormatError(f"{where}: edges[{i}] must be an object")
-        ewhere = f"{where} edges[{i}]"
-        parent = _require(raw, "parent", str, ewhere)
-        child = _require(raw, "child", str, ewhere)
-        labels = _require(raw, "labels", list, ewhere)
-        if not all(isinstance(x, str) for x in labels):
-            raise GraphFormatError(f"{ewhere}: labels must be strings")
-        remote = raw.get("remote", False)
-        if not isinstance(remote, bool):
-            raise GraphFormatError(f"{ewhere}: remote must be a boolean")
-        edges.append(Edge(parent, child, frozenset(labels), remote))
+        if type(raw) is dict:
+            parent, child, labels = raw.get("parent"), raw.get("child"), raw.get("labels")
+            remote = raw.get("remote", False)
+            if (type(parent) is str and type(child) is str and type(labels) is list
+                    and all(map(_is_str, labels)) and type(remote) is bool):
+                edges.append(Edge(parent, child, frozenset(labels), remote))
+                continue
+        edges.append(_edge(raw, where, i))
     root = _require(doc, "root", str, where)
     return SemanticGraph(gid, tuple(tokens), tuple(nodes), tuple(edges), root)
 

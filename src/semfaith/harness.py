@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .graph import SemanticGraph, parse_json, read_utf8
 from .measures import usim
@@ -23,22 +22,29 @@ class HarnessError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class EditOperation:
-    """Replace tokens[start:end) with ``replacement``; typed by ``edit_type``."""
-
+class _EditFields(NamedTuple):
     start: int
     end: int
     replacement: tuple[str, ...]
     edit_type: str
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.start <= self.end:
-            raise HarnessError(f"invalid edit span ({self.start}, {self.end})")
+
+class EditOperation(_EditFields):
+    """Replace tokens[start:end) with ``replacement``; typed by ``edit_type``."""
+
+    __slots__ = ()
+
+    def __new__(cls, start, end, replacement, edit_type):
+        if not 0 <= start <= end:
+            raise HarnessError(f"invalid edit span ({start}, {end})")
+        return super().__new__(cls, start, end, replacement, edit_type)
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through here: check it too
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class VersionChain:
+class VersionChain(NamedTuple):
     sentence_id: str
     seed: int
     order: tuple[int, ...]  # permutation of edit indices, in application order
@@ -47,8 +53,7 @@ class VersionChain:
     edits: tuple[EditOperation, ...]  # in original (corpus) order
 
 
-@dataclass(frozen=True)
-class TypeDelta:
+class TypeDelta(NamedTuple):
     edit_type: str
     delta_mean: Fraction
     occurrences: int

@@ -5,9 +5,8 @@ to the report layer.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .align import (
     C_TO_S,
@@ -23,8 +22,7 @@ class TokenMismatchError(ValueError):
     """Shared-token comparison requested for graphs with different tokens."""
 
 
-@dataclass(frozen=True)
-class ScoreTriple:
+class ScoreTriple(NamedTuple):
     precision: Fraction
     recall: Fraction
     f_score: Fraction
@@ -34,15 +32,13 @@ class ScoreTriple:
     reference_count: int
 
 
-@dataclass(frozen=True)
-class UsimReport:
+class UsimReport(NamedTuple):
     s_to_c: ScoreTriple
     c_to_s: ScoreTriple
     average: Fraction
 
 
-@dataclass(frozen=True)
-class LabelDistSim:
+class LabelDistSim(NamedTuple):
     name: str
     labels: frozenset[str]
     value: Fraction  # mean absolute count difference (a distance)

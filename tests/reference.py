@@ -5,8 +5,10 @@ table, or one unpacked bit-parallel pass per pattern string, for the edit
 distance; one DP distance per token pair and SciPy's solver for the token
 alignment, a re-sort after every swap for its canonical pair list, a
 ``node_weight`` evaluation for every (node, target) pair for the node
-alignment, and a scan of every same-label edge-instance pair for the edge
-matching.
+alignment, a scan of every same-label edge-instance pair for the edge
+matching, a field-by-field reader of interchange documents, and a
+check-by-check validator with one DFS for the graph invariants and
+frozenset yields.
 """
 from __future__ import annotations
 
@@ -15,8 +17,12 @@ from typing import Iterable, Sequence
 
 from semfaith import (
     S_TO_C,
+    Edge,
     EdgeInstance,
+    GraphFormatError,
+    GraphValidationError,
     LeafAlignment,
+    Node,
     NodeAlignment,
     SemanticGraph,
     edge_instances,
@@ -225,3 +231,159 @@ def align_leaves_loops(
     rows, cols = linear_sum_assignment(cost)
     pairs = [(int(i), int(j)) for i, j in zip(rows, cols) if not pruned[i][j]]
     return LeafAlignment(frozenset(canonicalize_sorted(pairs, dist, pruned)))
+
+
+def validate_dfs(
+    gid: str,
+    tokens: Sequence[str],
+    nodes: Sequence[Node],
+    edges: Sequence[Edge],
+    root: str,
+) -> dict[str, frozenset[int]]:
+    """The yield of every node of a valid graph, by node id.  An invalid one
+    raises ``GraphValidationError`` for the first fault found: each check in
+    turn, then one DFS from the root for cycles and reachability."""
+    for i, tok in enumerate(tokens):
+        if not tok:
+            raise GraphValidationError(f"graph {gid!r}: token {i} has empty text")
+
+    ids = [n.id for n in nodes]
+    if len(set(ids)) != len(ids):
+        dup = sorted({x for x in ids if ids.count(x) > 1})
+        raise GraphValidationError(f"graph {gid!r}: duplicate node ids {dup}")
+    if any(not n.id for n in nodes):
+        raise GraphValidationError(f"graph {gid!r}: empty node id")
+    by_id = {n.id: n for n in nodes}
+    if root not in by_id:
+        raise GraphValidationError(f"graph {gid!r}: root {root!r} is not a declared node")
+
+    children: dict[str, list[str]] = {n.id: [] for n in nodes}
+    incoming: dict[str, int] = {n.id: 0 for n in nodes}
+    for e in edges:
+        for endpoint in (e.parent, e.child):
+            if endpoint not in by_id:
+                raise GraphValidationError(
+                    f"graph {gid!r}: edge {e.parent!r}->{e.child!r} "
+                    f"references undeclared node {endpoint!r}"
+                )
+        if e.parent == e.child:
+            raise GraphValidationError(f"graph {gid!r}: self-loop on node {e.parent!r}")
+        if not e.labels:
+            raise GraphValidationError(
+                f"graph {gid!r}: edge {e.parent!r}->{e.child!r} has no labels"
+            )
+        children[e.parent].append(e.child)
+        incoming[e.child] += 1
+
+    if incoming[root]:
+        raise GraphValidationError(f"graph {gid!r}: root {root!r} has an incoming edge")
+    for nid, count in incoming.items():
+        if nid != root and count == 0:
+            raise GraphValidationError(f"graph {gid!r}: node {nid!r} has no incoming edge")
+
+    anchor_of: dict[int, str] = {}
+    for n in nodes:
+        if n.anchor is None:
+            continue
+        if not 0 <= n.anchor < len(tokens):
+            raise GraphValidationError(
+                f"graph {gid!r}: node {n.id!r} anchors out-of-range token {n.anchor}"
+            )
+        if n.anchor in anchor_of:
+            raise GraphValidationError(
+                f"graph {gid!r}: token {n.anchor} anchored by both "
+                f"{anchor_of[n.anchor]!r} and {n.id!r}"
+            )
+        if children[n.id]:
+            raise GraphValidationError(
+                f"graph {gid!r}: anchored node {n.id!r} has outgoing edges"
+            )
+        anchor_of[n.anchor] = n.id
+    missing = [i for i in range(len(tokens)) if i not in anchor_of]
+    if missing:
+        raise GraphValidationError(
+            f"graph {gid!r}: tokens {missing} are not anchored by any leaf"
+        )
+
+    order: list[str] = []
+    state: dict[str, int] = {root: 1}  # 1 = on stack, 2 = done
+    stack: list[tuple[str, int]] = [(root, 0)]
+    while stack:
+        nid, ci = stack[-1]
+        kids = children[nid]
+        if ci < len(kids):
+            stack[-1] = (nid, ci + 1)
+            kid = kids[ci]
+            st = state.get(kid)
+            if st == 1:
+                raise GraphValidationError(f"graph {gid!r}: cycle through edge {nid!r}->{kid!r}")
+            if st is None:
+                state[kid] = 1
+                stack.append((kid, 0))
+        else:
+            state[nid] = 2
+            order.append(nid)
+            stack.pop()
+    unreachable = sorted(nid for nid in by_id if nid not in state)
+    if unreachable:
+        raise GraphValidationError(f"graph {gid!r}: nodes unreachable from root: {unreachable}")
+
+    yields: dict[str, frozenset[int]] = {}
+    for nid in order:
+        node = by_id[nid]
+        acc: set[int] = set() if node.anchor is None else {node.anchor}
+        for kid in children[nid]:
+            acc |= yields[kid]
+        yields[nid] = frozenset(acc)
+    return yields
+
+
+def _require(obj: dict, key: str, kind: type, where: str):
+    if key not in obj:
+        raise GraphFormatError(f"{where}: missing field {key!r}")
+    value = obj[key]
+    if kind is int and isinstance(value, bool):
+        raise GraphFormatError(f"{where}: field {key!r} must be an integer")
+    if not isinstance(value, kind):
+        raise GraphFormatError(
+            f"{where}: field {key!r} must be {kind.__name__}, got {type(value).__name__}"
+        )
+    return value
+
+
+def graph_from_dict_fields(doc) -> SemanticGraph:
+    """The graph of an interchange document, every field of every record
+    checked in turn."""
+    if not isinstance(doc, dict):
+        raise GraphFormatError(f"document must be an object, got {type(doc).__name__}")
+    gid = _require(doc, "id", str, "document")
+    where = f"graph {gid!r}"
+    tokens = _require(doc, "tokens", list, where)
+    for i, text in enumerate(tokens):
+        if not isinstance(text, str):
+            raise GraphFormatError(f"{where}: tokens[{i}] must be a string")
+    nodes = []
+    for i, raw in enumerate(_require(doc, "nodes", list, where)):
+        if not isinstance(raw, dict):
+            raise GraphFormatError(f"{where}: nodes[{i}] must be an object")
+        nid = _require(raw, "id", str, f"{where} nodes[{i}]")
+        anchor = raw.get("anchor")
+        if anchor is not None and (isinstance(anchor, bool) or not isinstance(anchor, int)):
+            raise GraphFormatError(f"{where}: nodes[{i}].anchor must be an integer")
+        nodes.append(Node(nid, anchor))
+    edges = []
+    for i, raw in enumerate(_require(doc, "edges", list, where)):
+        if not isinstance(raw, dict):
+            raise GraphFormatError(f"{where}: edges[{i}] must be an object")
+        ewhere = f"{where} edges[{i}]"
+        parent = _require(raw, "parent", str, ewhere)
+        child = _require(raw, "child", str, ewhere)
+        labels = _require(raw, "labels", list, ewhere)
+        if not all(isinstance(x, str) for x in labels):
+            raise GraphFormatError(f"{ewhere}: labels must be strings")
+        remote = raw.get("remote", False)
+        if not isinstance(remote, bool):
+            raise GraphFormatError(f"{ewhere}: remote must be a boolean")
+        edges.append(Edge(parent, child, frozenset(labels), remote))
+    root = _require(doc, "root", str, where)
+    return SemanticGraph(gid, tuple(tokens), tuple(nodes), tuple(edges), root)

@@ -703,6 +703,31 @@ def write_version_graphs(doc, directory):
                     graph_from_nested(v["version_id"], tokens, flat))
 
 
+@pytest.mark.parametrize("command", ["score", "corpus", "distsim", "maege gen", "maege score"])
+def test_empty_input_path_exits_3(command, edit_corpus, tmp_path, monkeypatch, capsys):
+    """An empty path would be Path(""), the current directory.  Here that
+    directory holds a graph file and the version graphs of a manifest, so
+    reading it could score them; an empty path exits 3 and writes no report."""
+    manifest = tmp_path / "m.json"
+    assert main(["maege", "gen", edit_corpus, "--seed", "7", "--out", str(manifest)]) == 0
+    work = tmp_path / "cwd"
+    work.mkdir()
+    write_version_graphs(json.loads(manifest.read_text()), work)
+    graph = write_graph(work / "g.json", fig1_source())
+    monkeypatch.chdir(work)
+    out = str(tmp_path / "report")
+    argv = {
+        "score": ["score", "", graph],
+        "corpus": ["corpus", "", ""],
+        "distsim": ["distsim", "", ""],
+        "maege gen": ["maege", "gen", ""],
+        "maege score": ["maege", "score", str(manifest), ""],
+    }[command]
+    assert main([*argv, "--out", out]) == 3
+    assert "the path is empty" in capsys.readouterr().err
+    assert not Path(out).exists()
+
+
 def test_maege_gen_rejects_duplicate_sentence_ids(tmp_path, capsys):
     record = {"sentence_id": "s1", "tokens": ["a", "b"],
               "edits": [{"start": 0, "end": 1, "replacement": ["c"], "type": "Mec"}]}
@@ -766,6 +791,15 @@ def test_cli_import_loads_no_numeric_or_pool_modules():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_cli_import_loads_no_dataclasses():
+    """``-S`` keeps a ``site`` .pth file from importing ``dataclasses``
+    itself; the package is imported from the directory the tests use."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = "import sys; import semfaith.cli; assert 'dataclasses' not in sys.modules"
+    subprocess.run([sys.executable, "-S", "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                   check=True)
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers_build import LABELS, WORDS, add_random_remotes, make_graph
@@ -201,6 +201,11 @@ def test_align_leaves_equals_loops(seed):
     )
 
 
+# In these, aligned nodes have weight-1 targets of three or more sizes, so
+# the scan that stops at the first weight-1 target stops early.
+@example(2629)
+@example(1708)
+@example(1913)
 @given(seeds)
 @settings(max_examples=300, deadline=None)
 def test_extend_alignment_equals_weight_scan(seed):
