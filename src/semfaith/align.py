@@ -1,12 +1,15 @@
 """Token and node alignment between a source graph and a correction graph.
 
 Tokens are paired by a minimum-total-edit-distance bipartite assignment;
-the pairing is then lifted to graph nodes by maximizing a yield-overlap
-weight, dropping zero-weight candidates.
+the pairing is then lifted to graph nodes.  Each node maps to the largest
+target node (smallest id among equal sizes) whose yield lies inside the
+node's aligned tokens.  That is the paper's argmax of the yield-overlap
+weight |aligned tokens of v in yu| / |yu|: no weight is above 1, and a
+yield reaches 1 exactly when it is contained, which each aligned token's
+own target leaf is.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import repeat
 from operator import add, sub
 from typing import NamedTuple, Sequence
@@ -14,7 +17,6 @@ from typing import NamedTuple, Sequence
 from .graph import SemanticGraph
 
 _INF = float("inf")
-_ONE = Fraction(1)
 S_TO_C = "s_to_c"
 C_TO_S = "c_to_s"
 
@@ -308,18 +310,13 @@ class NodeAlignment(NamedTuple):
     """Partial many-to-1 map from one graph's nodes onto the other's.
 
     ``direction`` names which side is being aligned: ``s_to_c`` maps source
-    nodes onto correction nodes, ``c_to_s`` the reverse.  ``weights`` holds
-    each mapped (aligned, target) pair, sorted, with its yield-overlap weight
-    (1 for leaf pairs); an aligned node appears in at most one pair.
+    nodes onto correction nodes, ``c_to_s`` the reverse.  ``mapping`` holds
+    the mapped (aligned, target) pairs, sorted; an aligned node appears in
+    at most one pair.
     """
 
     direction: str
-    weights: tuple[tuple[tuple[str, str], Fraction], ...]
-
-    @property
-    def mapping(self) -> tuple[tuple[str, str], ...]:
-        """The mapped (aligned, target) pairs, sorted."""
-        return tuple(pair for pair, _ in self.weights)
+    mapping: tuple[tuple[str, str], ...]
 
     def pair_set(self) -> frozenset[tuple[str, str]]:
         return frozenset(self.mapping)
@@ -334,12 +331,15 @@ def extend_alignment(
     """Lift a leaf alignment to a node alignment.
 
     Anchored leaves follow the leaf alignment directly.  Every other
-    non-implicit node maps to the target node with maximal positive weight;
-    ties prefer the larger target yield, then the smaller node id.  (Weight 1
-    is reached by any target whose yield is fully aligned into the node's
-    yield, so preferring small yields would send whole-sentence nodes to
-    arbitrary single leaves; the large-yield preference keeps the alignment
-    the identity on structurally identical graphs.)
+    non-implicit node ``v`` with aligned tokens maps to the first target
+    node, largest yield first and then smallest id, whose yield lies inside
+    the tokens aligned to ``v``'s yield.  This is the argmax of the weight
+    |aligned tokens of v in yu| / |yu| with those tie-breaks: no weight is
+    above 1, a contained yield has weight 1, and the target leaf of any
+    aligned token is one.  (Weight 1 is reached by every contained yield,
+    so preferring small yields would send whole-sentence nodes to arbitrary
+    single leaves; the large-yield preference keeps the alignment the
+    identity on structurally identical graphs.)
     Implicit units (empty yield) are never aligned on either side.
     """
     if direction not in (S_TO_C, C_TO_S):
@@ -352,16 +352,16 @@ def extend_alignment(
 
     # partners[v]: the target tokens aligned to v's yield, as a bitmask
     partners = dict.fromkeys(g_aligned._yields, 0)
-    weights: list[tuple[tuple[str, str], Fraction]] = []
+    mapping: list[tuple[str, str]] = []
     for a, leaf in g_aligned._leaves.items():
         b = token_map.get(a)
         if b is not None:
             partners[leaf] = 1 << b
-            weights.append(((leaf, target_leaves[b]), _ONE))
+            mapping.append((leaf, target_leaves[b]))
 
     targets = _targets(g_target)
     children = g_aligned._children
-    best_by_partners: dict[int, tuple[str, Fraction] | None] = {}
+    target_by_partners: dict[int, str] = {}
     for v in reversed(g_aligned._order):
         kids = children[v]
         if not kids:
@@ -372,47 +372,26 @@ def extend_alignment(
         partners[v] = acc
         if not acc:
             continue
-        if acc not in best_by_partners:
-            best_by_partners[acc] = _best_target(acc, targets)
-        best = best_by_partners[acc]
-        if best is not None:
-            weights.append(((v, best[0]), best[1]))
-    weights.sort()
-    return NodeAlignment(direction, tuple(weights))
+        if acc not in target_by_partners:
+            target_by_partners[acc] = next(u for u, yu in targets if yu & acc == yu)
+        mapping.append((v, target_by_partners[acc]))
+    mapping.sort()
+    return NodeAlignment(direction, tuple(mapping))
 
 
-def _targets(g: SemanticGraph) -> list[tuple[int, str, int]]:
-    """(-|yu|, u, token bitmask of yu) for each distinct non-empty yield yu
-    of ``g``, sorted: the candidate order among equal weights.  Nodes with
-    equal yields tie on weight and yield size, so each yield has one
-    candidate, its smallest id.  Built once per graph, then stored on it."""
+def _targets(g: SemanticGraph) -> list[tuple[str, int]]:
+    """(u, token bitmask of yu) for each distinct non-empty yield yu of
+    ``g``, largest yield first, then smallest id: the candidate order.
+    Nodes with equal yields tie on both, so each yield has one candidate,
+    its smallest id.  Built once per graph, then stored on it."""
     if g._targets is None:
         candidates: dict[int, str] = {}
         for u, yu in sorted(g._yields.items()):
             if yu:
                 candidates.setdefault(yu, u)
-        g._targets = sorted((-yu.bit_count(), u, yu) for yu, u in candidates.items())
+        ranked = sorted((-yu.bit_count(), u, yu) for yu, u in candidates.items())
+        g._targets = [(u, yu) for _, u, yu in ranked]
     return g._targets
-
-
-def _best_target(
-    partners: int, targets: list[tuple[int, str, int]]
-) -> tuple[str, Fraction] | None:
-    """The target with maximal positive weight |partners & yu| / |yu|, the
-    first in ``targets`` order among equal weights.  Weights are compared
-    exactly by cross-multiplying hits and yield sizes.  No weight is above
-    1 and a later target wins only with a higher one, so the scan stops at
-    the first weight-1 target."""
-    best_hits, best_size, best_id = 0, 1, None
-    for neg_size, u, yu in targets:
-        hits = (partners & yu).bit_count()
-        if hits * best_size > best_hits * -neg_size:
-            best_hits, best_size, best_id = hits, -neg_size, u
-            if hits == -neg_size:
-                break
-    if best_id is None:
-        return None
-    return best_id, Fraction(best_hits, best_size)
 
 
 def format_alignment_dump(
@@ -422,12 +401,12 @@ def format_alignment_dump(
     node_alignment: NodeAlignment,
 ) -> str:
     """Human-readable diagnostic listing of leaf pairs with their costs and
-    node pairs with their weights, in stable order."""
+    of node pairs, in stable order."""
     lines = ["# leaf pairs (source_index, correction_index, source, correction, cost)"]
     for i, j in sorted(leaf_alignment.pairs):
         cost = edit_distance(source_tokens[i], correction_tokens[j])
         lines.append(f"{i}\t{j}\t{source_tokens[i]}\t{correction_tokens[j]}\t{cost}")
-    lines.append(f"# node pairs ({node_alignment.direction}): aligned, target, weight")
-    for (v, u), w in node_alignment.weights:
-        lines.append(f"{v}\t{u}\t{w.numerator}/{w.denominator}")
+    lines.append(f"# node pairs ({node_alignment.direction}): aligned, target")
+    for v, u in node_alignment.mapping:
+        lines.append(f"{v}\t{u}")
     return "\n".join(lines) + "\n"

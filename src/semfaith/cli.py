@@ -50,9 +50,14 @@ class WorkerError(RuntimeError):
     """A forked scoring worker ended without sending its reports."""
 
 
+class OutputError(Exception):
+    """The report or manifest could not be written to ``--out``."""
+
+
 # The exit code of each error that main reports; argparse exits 2 on a bad flag.
 EXIT_CODES = {
     WorkerError: 1,  # a scoring worker process died without a result
+    OutputError: 2,  # like an unusable --out that the flag check catches
     GraphFormatError: 3,  # malformed input, an empty input path, or a field TSV cannot hold
     HarnessError: 3,
     GraphValidationError: 4,  # well-formed input violating an invariant/precondition
@@ -123,7 +128,7 @@ def _write_report(args: argparse.Namespace, header: list[str], rows: list[list],
     None.  As TSV it is ``header`` and then ``rows``; as JSON lines it is
     ``records``, by default one object per row keyed by ``header``.  The
     text is encoded before the file is opened, so a report that cannot be
-    written leaves no file."""
+    encoded leaves no file."""
     if args.format == "json-lines":
         if records is None:
             records = [dict(zip(header, row)) for row in rows]
@@ -135,7 +140,10 @@ def _write_report(args: argparse.Namespace, header: list[str], rows: list[list],
     if args.out is None:
         sys.stdout.write(text)
     else:
-        Path(args.out).write_bytes(text.encode("utf-8"))
+        try:
+            Path(args.out).write_bytes(text.encode("utf-8"))
+        except OSError as exc:
+            raise OutputError(f"cannot write {args.out}: {exc.strerror}") from exc
 
 
 def _score_kwargs(args: argparse.Namespace) -> dict:
@@ -169,10 +177,13 @@ def _non_negative_float(text: str) -> float:
 
 def _output_path(text: str) -> str:
     path = Path(text)
-    if path.is_dir():
-        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
-    if not path.parent.is_dir():
-        raise argparse.ArgumentTypeError(f"the directory of {text!r} does not exist")
+    try:
+        if path.is_dir():
+            raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+        if not path.parent.is_dir():
+            raise argparse.ArgumentTypeError(f"the directory of {text!r} does not exist")
+    except OSError as exc:  # a name too long for the file system, say
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc.strerror}") from None
     return text
 
 
@@ -454,7 +465,10 @@ def cmd_maege_gen(args: argparse.Namespace) -> int:
         build_chain(sid, tokens, edits, args.seed, pin_source_index=args.pin_source)
         for sid, tokens, edits in records
     ]
-    emit_manifest(chains, args.out)
+    try:
+        emit_manifest(chains, args.out)
+    except OSError as exc:
+        raise OutputError(f"cannot write {args.out}: {exc.strerror}") from exc
     return EXIT_OK
 
 

@@ -117,14 +117,11 @@ def extend_alignment_scan(
     oriented_pairs = sorted(token_map.items())
     target_leaves = g_target.anchored_leaves()
     mapping = []
-    weights = []
     for node in g_aligned.nodes:
         if node.anchor is not None:
             partner = token_map.get(node.anchor)
             if partner is not None:
-                pair = (node.id, target_leaves[partner])
-                mapping.append(pair)
-                weights.append((pair, Fraction(1)))
+                mapping.append((node.id, target_leaves[partner]))
             continue
         if not g_aligned.children_of(node.id):
             continue  # implicit unit
@@ -138,12 +135,9 @@ def extend_alignment_scan(
             if best is None or key < best:
                 best = key
         if best is not None:
-            pair = (node.id, best[2])
-            mapping.append(pair)
-            weights.append((pair, -best[0]))
+            mapping.append((node.id, best[2]))
     mapping.sort()
-    weights.sort()
-    return NodeAlignment(direction, tuple(weights))
+    return NodeAlignment(direction, tuple(mapping))
 
 
 def match_edges_scan(

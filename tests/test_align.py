@@ -147,6 +147,17 @@ def test_node_weight_monotone_in_alignment():
                 )
 
 
+def assert_every_weight_one(na, g_aligned, g_target, leaf_alignment):
+    """Each mapped pair, leaves included, has reference weight exactly 1:
+    the lift maps a node only to a target whose yield its aligned tokens
+    contain."""
+    pairs = sorted(leaf_alignment.pairs)
+    if na.direction == C_TO_S:
+        pairs = sorted((j, i) for i, j in pairs)
+    for v, u in na.mapping:
+        assert node_weight(v, u, pairs, g_aligned, g_target) == 1
+
+
 def test_extend_identity_on_identical_graphs():
     g1 = fig1_correction("x")
     g2 = fig1_correction("x")
@@ -159,7 +170,7 @@ def test_extend_identity_on_identical_graphs():
         if nid != "z-root":
             assert mapping[nid] == nid
     assert mapping["z-root"] == "scene"
-    assert all(w == 1 for _, w in na.weights)
+    assert_every_weight_one(na, g1, g2, a_l)
 
 
 def test_extend_all_tokens_unaligned():
@@ -179,8 +190,7 @@ def test_extend_fig1_forward():
     assert mapping["pp"] == "w2"  # "for john" onto the leaf "John"
     assert mapping["scene"] == "scene"
     assert "w4" not in mapping  # "for" has no partner
-    weights = dict(na.weights)
-    assert weights[("pp", "w2")] == 1
+    assert_every_weight_one(na, g_s, g_c, a_l)
 
 
 def test_extend_no_zero_weight_pairs():
@@ -191,12 +201,8 @@ def test_extend_no_zero_weight_pairs():
         g1 = random_valid_graph(rng, "a")
         g2 = random_valid_graph(rng, "b")
         a_l = align_leaves(g1.token_texts(), g2.token_texts())
-        na = extend_alignment(g1, g2, a_l, S_TO_C)
-        pairs = sorted(a_l.pairs)
-        anchor = {n.id: n.anchor for n in g1.nodes}
-        for v, u in na.mapping:
-            if anchor[v] is None:
-                assert node_weight(v, u, pairs, g1, g2) > 0
+        assert_every_weight_one(extend_alignment(g1, g2, a_l, S_TO_C), g1, g2, a_l)
+        assert_every_weight_one(extend_alignment(g2, g1, a_l, C_TO_S), g2, g1, a_l)
 
 
 def test_extend_deterministic():
@@ -214,6 +220,6 @@ def test_alignment_dump_format():
     na = extend_alignment(g_s, g_c, a_l, S_TO_C)
     dump = format_alignment_dump(SOURCE_TOKENS, CORRECTION_TOKENS, a_l, na)
     assert "gve\tgave\t1" in dump
-    assert "pp\tw2\t1/1" in dump
+    assert "pp\tw2" in dump.splitlines()
     # stable output
     assert dump == format_alignment_dump(SOURCE_TOKENS, CORRECTION_TOKENS, a_l, na)

@@ -12,7 +12,16 @@ import pytest
 
 from fig1 import fig1_correction, fig1_source
 from helpers_build import graph_from_nested
-from semfaith import TokenMismatchError, cli, graph_to_dict, harness
+from semfaith import (
+    S_TO_C,
+    LeafAlignment,
+    TokenMismatchError,
+    cli,
+    extend_alignment,
+    graph_from_dict,
+    graph_to_dict,
+    harness,
+)
 from semfaith.cli import main
 
 
@@ -99,10 +108,12 @@ def test_score_to_file(fig1_files, tmp_path):
     assert "average\t0.7500" in out.read_text()
 
 
-@pytest.mark.parametrize("where", ["nodir/x.tsv", "a directory"])
+@pytest.mark.parametrize("where", ["nodir/x.tsv", "a directory",
+                                   pytest.param("a" * 300, id="a name too long")])
 def test_score_rejects_unusable_out_before_reading(fig1_files, tmp_path, where, capsys):
     """Exit 2 from the flag check: with a missing source file too, the
-    source is never read (that would exit 3)."""
+    source is never read (that would exit 3).  The last name is too long
+    for the file system, which fails the check's own calls."""
     src, cor = fig1_files
     out = str(tmp_path) if where == "a directory" else str(tmp_path / where)
     for source in (src, str(tmp_path / "missing.json")):
@@ -110,6 +121,27 @@ def test_score_rejects_unusable_out_before_reading(fig1_files, tmp_path, where, 
             main(["score", source, cor, "--out", out])
         assert exc.value.code == 2
         assert "--out" in capsys.readouterr().err
+
+
+def test_score_unary_chain_deeper_than_recursion_limit(tmp_path):
+    """One token under 2999 unary internal nodes: loading, lifting and
+    scoring it may not recurse once per level."""
+    nodes = 3000
+    assert nodes > sys.getrecursionlimit()
+    ids = [f"n{k:05d}" for k in range(nodes - 1)] + ["w0"]
+    doc = {
+        "id": "chain",
+        "tokens": ["word"],
+        "nodes": [{"id": i} for i in ids[:-1]] + [{"id": "w0", "anchor": 0}],
+        "edges": [{"parent": a, "child": b, "labels": ["E"]} for a, b in zip(ids, ids[1:])],
+        "root": ids[0],
+    }
+    chain = graph_from_dict(doc)
+    na = extend_alignment(chain, chain, LeafAlignment(frozenset({(0, 0)})), S_TO_C)
+    assert len(na.mapping) == nodes
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["score", str(path), str(path), "--out", str(tmp_path / "report.tsv")]) == 0
 
 
 # -- corpus ----------------------------------------------------------------
@@ -503,6 +535,19 @@ def report_argv(command, fig1_files, edit_corpus, tmp_path):
     src, cor = corpus_dirs(tmp_path, [("a", fig1_source("a"), fig1_correction("a")),
                                       ("b", fig1_source("b"), fig1_source("b"))])
     return [command, src, cor]
+
+
+@pytest.mark.skipif(not Path("/dev/full").is_char_device(),
+                    reason="needs /dev/full, whose every write fails with ENOSPC")
+@pytest.mark.parametrize("command", ["score", "corpus", "distsim", "maege gen", "maege score"])
+def test_write_failure_exits_2(command, fig1_files, edit_corpus, tmp_path, capsys):
+    if command == "maege gen":
+        argv = ["maege", "gen", edit_corpus]
+    else:
+        argv = report_argv(command, fig1_files, edit_corpus, tmp_path)
+    capsys.readouterr()
+    assert main([*argv, "--out", "/dev/full"]) == 2
+    assert capsys.readouterr().err == "error: cannot write /dev/full: No space left on device\n"
 
 
 @pytest.mark.parametrize("command, fmt", sorted(GOLDEN))

@@ -201,8 +201,9 @@ def test_align_leaves_equals_loops(seed):
     )
 
 
-# In these, aligned nodes have weight-1 targets of three or more sizes, so
-# the scan that stops at the first weight-1 target stops early.
+# In these, aligned nodes contain the yields of targets of three or more
+# sizes, all of weight 1, so the first contained target in (-size, id) order
+# must win over smaller contained ones.
 @example(2629)
 @example(1708)
 @example(1913)
