@@ -90,14 +90,14 @@ class _LeafPairs(NamedTuple):
 
 
 class LeafAlignment(_LeafPairs):
-    """Partial 1-to-1 pairing of source token indices to correction indices."""
+    """Partial 1-to-1 pairing of source token indices to correction indices,
+    stored as the frozenset of the ``(i, j)`` pairs it is built from."""
 
     __slots__ = ()
 
     def __new__(cls, pairs):
-        src = [i for i, _ in pairs]
-        dst = [j for _, j in pairs]
-        if len(set(src)) != len(src) or len(set(dst)) != len(dst):
+        pairs = frozenset(pairs)
+        if len({i for i, _ in pairs}) != len(pairs) or len({j for _, j in pairs}) != len(pairs):
             raise ValueError("leaf alignment is not 1-to-1")
         return super().__new__(cls, pairs)
 
@@ -170,7 +170,7 @@ def align_leaves(
             row = map(min, row, repeat(forbidden))
         cost.append(list(row))
     pairs = [(i, j) for i, j in _assign(cost) if cost[i][j] < forbidden]
-    return LeafAlignment(frozenset(_canonicalize(pairs, cost)))
+    return LeafAlignment(_canonicalize(pairs, cost))
 
 
 def _assign(cost: list[list[int]]) -> list[tuple[int, int]]:

@@ -300,10 +300,23 @@ def _shards(costs: list[int], jobs: int) -> list[list[int]]:
     return [sorted(shard) for shard in shards]
 
 
+def _run_items(work, shard: list[int]):
+    """``work(i)`` for each item ``i`` of ``shard`` in order, up to the first
+    that raises, as ``(results, failure)``: the results by item index, and
+    ``(i, exception)`` for the item that raised, otherwise None."""
+    results = {}
+    for i in shard:
+        try:
+            results[i] = work(i)
+        except Exception as exc:
+            return results, (i, exc)
+    return results, None
+
+
 def _fork_worker(work, shard: list[int]) -> tuple[int, BinaryIO] | None:
-    """Fork a child that writes the pickled ``work(shard)`` to a pipe.
-    Returns the child's pid and the pipe's read end, opened, or None when
-    the pipe or the fork fails, with no descriptor left open.
+    """Fork a child that writes the pickled ``_run_items(work, shard)`` to
+    a pipe.  Returns the child's pid and the pipe's read end, opened, or
+    None when the pipe or the fork fails, with no descriptor left open.
     Forking is safe because the commands start no threads."""
     import pickle  # here, not at the top: only runs that fork pay for it
 
@@ -323,7 +336,7 @@ def _fork_worker(work, shard: list[int]) -> tuple[int, BinaryIO] | None:
         status = 1
         try:
             os.close(read_end)
-            data = pickle.dumps(work(shard))
+            data = pickle.dumps(_run_items(work, shard))
             with open(write_end, "wb") as pipe:
                 pipe.write(data)
             status = 0
@@ -334,7 +347,7 @@ def _fork_worker(work, shard: list[int]) -> tuple[int, BinaryIO] | None:
 
 
 def _collect(workers: list[tuple[int, BinaryIO]]):
-    """The ``work(shard)`` result that the first of ``workers`` sent.  The
+    """The ``_run_items`` result that the first of ``workers`` sent.  The
     pipe is read to EOF before the wait, so a result larger than the pipe
     buffer cannot leave the child blocked on its write.  The worker leaves
     ``workers`` when it is reaped, so ``workers`` holds exactly the children
@@ -357,19 +370,17 @@ def _collect(workers: list[tuple[int, BinaryIO]]):
 
 
 def _run_shards(costs: list[int], jobs: int, work) -> list:
-    """The result of every item, in item order.
+    """``work(i)`` of every item ``i``, in item order.
 
-    ``work(shard)`` takes a list of item indices and returns ``(results,
-    failure)``: one result per item in order, up to the first item that
-    fails, and then ``failure`` as ``(key, exception)``, otherwise None.
     The items are split by ``_shards`` into ``jobs`` shards (one where
-    ``os.fork`` is missing).  This process runs the first shard and a forked
-    child each other one; once a pipe or a fork fails, this process runs
-    the rest too.  Of all failures the exception with the
-    lowest key is raised, so the results and the error are the same for
-    every ``jobs``."""
+    ``os.fork`` is missing), each run by ``_run_items``.  This process runs
+    the first shard and a forked child each other one; once a pipe or a
+    fork fails, this process runs the rest too.  Each shard stops at its
+    first failing item, so the lowest item that fails in any shard is the
+    first that fails in item order; its exception is raised, and the
+    results and the error are the same for every ``jobs``."""
     shards = _shards(costs, jobs if hasattr(os, "fork") else 1)
-    local, forked = shards[:1], []
+    local = shards[:1]
     workers: list[tuple[int, BinaryIO]] = []
     try:
         for j, shard in enumerate(shards[1:], start=1):
@@ -378,10 +389,9 @@ def _run_shards(costs: list[int], jobs: int, work) -> list:
                 local += shards[j:]
                 break
             workers.append(worker)
-            forked.append(shard)
-        results = [work(shard) for shard in local]
+        outcomes = [_run_items(work, shard) for shard in local]
         while workers:
-            results.append(_collect(workers))
+            outcomes.append(_collect(workers))
     finally:
         if workers:  # only when this process failed: stop and reap the rest
             import signal
@@ -390,32 +400,20 @@ def _run_shards(costs: list[int], jobs: int, work) -> list:
                 os.kill(pid, signal.SIGKILL)
                 pipe.close()
                 os.waitpid(pid, 0)
-    failures = [failure for _, failure in results if failure is not None]
+    failures = [failure for _, failure in outcomes if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
-    merged: list = [None] * len(costs)
-    for shard, (shard_results, _) in zip(local + forked, results):
-        for i, result in zip(shard, shard_results):
-            merged[i] = result
-    return merged
+    results = {}
+    for shard_results, _ in outcomes:
+        results.update(shard_results)
+    return [results[i] for i in range(len(costs))]
 
 
 def cmd_corpus(args: argparse.Namespace) -> int:
     pairs = _paired_corpora(args.source, args.correction)
     kwargs = _score_kwargs(args)
-
-    def score(shard: list[int]):
-        reports = []
-        for i in shard:
-            _, g_s, g_c = pairs[i]
-            try:
-                reports.append(usim(g_s, g_c, **kwargs))
-            except Exception as exc:
-                return reports, (i, exc)
-        return reports, None
-
     costs = [len(g_s.tokens) * len(g_c.tokens) for _, g_s, g_c in pairs]
-    reports = _run_shards(costs, args.jobs, score)
+    reports = _run_shards(costs, args.jobs, lambda i: usim(*pairs[i][1:], **kwargs))
     ids = [pair_id for pair_id, _, _ in pairs]
     n = len(reports)
     agg = [_fmt(sum(column) / n) for column in zip(*map(_pair_values, reports))]
@@ -480,7 +478,11 @@ def _load_chain(graphs_dir: Path, chain: VersionChain) -> dict[str, SemanticGrap
     for k, tokens in enumerate(chain.versions):
         vid = version_id(chain.sentence_id, k)
         path = graphs_dir / f"{vid}.json"
-        if not path.is_file():
+        try:  # a name too long for the file system, say
+            found = path.is_file()
+        except OSError as exc:
+            raise HarnessError(f"cannot read {path}: {exc}") from exc
+        if not found:
             raise HarnessError(f"no graph file for version {vid!r} at {path}")
         graphs[vid] = load_graph(path)
         if graphs[vid].tokens != tokens:
@@ -496,23 +498,8 @@ def cmd_maege_score(args: argparse.Namespace) -> int:
     graphs_dir = Path(args.graphs)
     kwargs = _score_kwargs(args)
 
-    def score(shard: list[int]):
-        """Load the graphs of the shard's chains, then score each chain.  A
-        load failure, keyed ``(0, chain)``, comes before any scoring failure,
-        ``(1, chain)``, as when one process loads every graph first."""
-        graphs = {}
-        for c in shard:
-            try:
-                graphs.update(_load_chain(graphs_dir, chains[c]))
-            except Exception as exc:
-                return [], ((0, c), exc)
-        results = []
-        for c in shard:
-            try:
-                results.append(version_scores([chains[c]], graphs, **kwargs))
-            except Exception as exc:
-                return results, ((1, c), exc)
-        return results, None
+    def score(c: int) -> dict[str, Fraction]:
+        return version_scores([chains[c]], _load_chain(graphs_dir, chains[c]), **kwargs)
 
     costs = [
         sum(len(chain.versions[chain.source_index]) * len(tokens) for tokens in chain.versions)

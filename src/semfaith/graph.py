@@ -262,41 +262,14 @@ def _require(obj: dict, key: str, kind: type, where: str):
     return value
 
 
-def _node(raw, where: str, i: int) -> Node:
-    """``nodes[i]`` of a document, checked field by field."""
-    if not isinstance(raw, dict):
-        raise GraphFormatError(f"{where}: nodes[{i}] must be an object")
-    nid = _require(raw, "id", str, f"{where} nodes[{i}]")
-    anchor = raw.get("anchor")
-    if anchor is not None and (isinstance(anchor, bool) or not isinstance(anchor, int)):
-        raise GraphFormatError(f"{where}: nodes[{i}].anchor must be an integer")
-    return Node(nid, anchor)
-
-
-def _edge(raw, where: str, i: int) -> Edge:
-    """``edges[i]`` of a document, checked field by field."""
-    if not isinstance(raw, dict):
-        raise GraphFormatError(f"{where}: edges[{i}] must be an object")
-    ewhere = f"{where} edges[{i}]"
-    parent = _require(raw, "parent", str, ewhere)
-    child = _require(raw, "child", str, ewhere)
-    labels = _require(raw, "labels", list, ewhere)
-    if not all(isinstance(x, str) for x in labels):
-        raise GraphFormatError(f"{ewhere}: labels must be strings")
-    remote = raw.get("remote", False)
-    if not isinstance(remote, bool):
-        raise GraphFormatError(f"{ewhere}: remote must be a boolean")
-    return Edge(parent, child, frozenset(labels), remote)
-
-
 _is_str = str.__instancecheck__  # isinstance(x, str), as a function for map
 
 
 def graph_from_dict(doc: dict) -> SemanticGraph:
-    """The graph of an interchange document.  A node or edge record that
-    holds exactly the JSON types costs one type test per field; any other
-    goes through ``_node`` or ``_edge``, which name its first fault or, for
-    a subclass of those types, build the same record."""
+    """The graph of an interchange document.  Each field of a node or edge
+    record takes one type test, and only a field that fails it has its
+    message built.  Of several faults in one record, the first in field
+    order is named."""
     if not isinstance(doc, dict):
         raise GraphFormatError(f"document must be an object, got {type(doc).__name__}")
     gid = _require(doc, "id", str, "document")
@@ -307,22 +280,29 @@ def graph_from_dict(doc: dict) -> SemanticGraph:
         raise GraphFormatError(f"{where}: tokens[{i}] must be a string")
     nodes = []
     for i, raw in enumerate(_require(doc, "nodes", list, where)):
-        if type(raw) is dict:
-            nid, anchor = raw.get("id"), raw.get("anchor")
-            if type(nid) is str and (anchor is None or type(anchor) is int):
-                nodes.append(Node(nid, anchor))
-                continue
-        nodes.append(_node(raw, where, i))
+        if not isinstance(raw, dict):
+            raise GraphFormatError(f"{where}: nodes[{i}] must be an object")
+        nid, anchor = raw.get("id"), raw.get("anchor")
+        if not isinstance(nid, str):
+            _require(raw, "id", str, f"{where} nodes[{i}]")
+        if anchor is not None and (isinstance(anchor, bool) or not isinstance(anchor, int)):
+            raise GraphFormatError(f"{where}: nodes[{i}].anchor must be an integer")
+        nodes.append(Node(nid, anchor))
     edges = []
     for i, raw in enumerate(_require(doc, "edges", list, where)):
-        if type(raw) is dict:
-            parent, child, labels = raw.get("parent"), raw.get("child"), raw.get("labels")
-            remote = raw.get("remote", False)
-            if (type(parent) is str and type(child) is str and type(labels) is list
-                    and all(map(_is_str, labels)) and type(remote) is bool):
-                edges.append(Edge(parent, child, frozenset(labels), remote))
-                continue
-        edges.append(_edge(raw, where, i))
+        if not isinstance(raw, dict):
+            raise GraphFormatError(f"{where}: edges[{i}] must be an object")
+        parent, child, labels = raw.get("parent"), raw.get("child"), raw.get("labels")
+        if not (isinstance(parent, str) and isinstance(child, str)
+                and isinstance(labels, list)):
+            for key, kind in (("parent", str), ("child", str), ("labels", list)):
+                _require(raw, key, kind, f"{where} edges[{i}]")
+        if not all(map(_is_str, labels)):
+            raise GraphFormatError(f"{where} edges[{i}]: labels must be strings")
+        remote = raw.get("remote", False)
+        if not isinstance(remote, bool):
+            raise GraphFormatError(f"{where} edges[{i}]: remote must be a boolean")
+        edges.append(Edge(parent, child, frozenset(labels), remote))
     root = _require(doc, "root", str, where)
     return SemanticGraph(gid, tuple(tokens), tuple(nodes), tuple(edges), root)
 
@@ -406,10 +386,13 @@ def read_corpus(path: str | Path) -> dict[str, SemanticGraph]:
         corpus[g.id] = g
 
     source = Path(path)
-    if source.is_dir():
-        for child in sorted(source.iterdir()):
-            if child.is_file():
-                add(load_graph(child))
+    try:  # a name too long for the file system, say
+        files = sorted(c for c in source.iterdir() if c.is_file()) if source.is_dir() else None
+    except OSError as exc:
+        raise GraphFormatError(f"cannot read {path}: {exc}") from exc
+    if files is not None:
+        for child in files:
+            add(load_graph(child))
         return corpus
     for lineno, line in enumerate(read_utf8(source, GraphFormatError).splitlines(), start=1):
         if not line.strip():

@@ -120,6 +120,19 @@ def test_leaf_alignment_rejects_duplicates():
         LeafAlignment(frozenset({(0, 0), (0, 1)}))
 
 
+def test_leaf_alignment_stores_a_frozenset_of_any_iterable():
+    """A generator is read once, and checked and stored as that set."""
+    with pytest.raises(ValueError):
+        LeafAlignment(p for p in [(0, 0), (1, 0)])
+    for pairs in ([(1, 0), (0, 2)], (p for p in [(1, 0), (0, 2)])):
+        la = LeafAlignment(pairs)
+        assert la.pairs == frozenset({(0, 2), (1, 0)})
+        assert la.source_to_correction() == {0: 2, 1: 0}
+        assert hash(la) == hash(LeafAlignment(frozenset({(0, 2), (1, 0)})))
+    with pytest.raises(ValueError):
+        LeafAlignment(frozenset({(0, 0)}))._replace(pairs=[(0, 0), (1, 0)])
+
+
 def test_node_weight_examples():
     g_s = fig1_source()
     g_c = fig1_correction()

@@ -773,6 +773,32 @@ def test_empty_input_path_exits_3(command, edit_corpus, tmp_path, monkeypatch, c
     assert not Path(out).exists()
 
 
+@pytest.mark.parametrize("command", ["corpus", "distsim", "maege score", "maege score id"])
+def test_input_path_too_long_exits_3(command, tmp_path, capsys):
+    """A path that the file system rejects, as too long here, exits 3 as
+    an unreadable file does and writes no report.  In the last case the
+    long name is a version graph's, from a long sentence id."""
+    long = tmp_path / ("a" * 300)
+    records = [{"sentence_id": "s" * (260 if command == "maege score id" else 1),
+                "tokens": ["w0", "w1"],
+                "edits": [{"start": 0, "end": 1, "replacement": ["x"], "type": "R"}]}]
+    manifest = tmp_path / "m.json"
+    edits = write_records(tmp_path / "edits.jsonl", records)
+    assert main(["maege", "gen", edits, "--out", str(manifest)]) == 0
+    argv, path = {
+        "corpus": (["corpus", str(long), str(long)], long),
+        "distsim": (["distsim", str(long), str(long)], long),
+        "maege score": (["maege", "score", str(manifest), str(long)], long / "s.v0.json"),
+        "maege score id": (["maege", "score", str(manifest), str(tmp_path)],
+                           tmp_path / f"{'s' * 260}.v0.json"),
+    }[command]
+    out = tmp_path / "report"
+    assert main([*argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path}: ")
+    assert not out.exists()
+
+
 def test_maege_gen_rejects_duplicate_sentence_ids(tmp_path, capsys):
     record = {"sentence_id": "s1", "tokens": ["a", "b"],
               "edits": [{"start": 0, "end": 1, "replacement": ["c"], "type": "Mec"}]}
@@ -1078,20 +1104,22 @@ def _retoken_graph(graphs, vid):
 
 @pytest.mark.parametrize("damage, failing, code, message", [
     # a scoring failure in c0 (this process's shard) and a missing graph in c1
-    ([(_remove_graph, "c1.v2")], {"c0.v1"}, 3, "no graph file for version 'c1.v2'"),
+    ([(_remove_graph, "c1.v2")], {"c0.v1"}, 4, "error: c0.v1 failed to score"),
     # a wrong-token graph in c1 (a child's shard) and a missing graph in c2
-    ([(_retoken_graph, "c1.v1"), (_remove_graph, "c2.v0")], {"c0.v1"}, 4,
+    ([(_retoken_graph, "c1.v1"), (_remove_graph, "c2.v0")], set(), 4,
      "graph for version 'c1.v1'"),
+    # a missing graph in c1 (a child's shard) and a scoring failure in c2
+    ([(_remove_graph, "c1.v2")], {"c2.v0"}, 3, "no graph file for version 'c1.v2'"),
     # scoring failures in c1 (a child's shard) and c2 (this process's shard)
     ([], {"c1.v2", "c2.v0"}, 4, "error: c1.v2 failed to score"),
-], ids=["load beats earlier scoring", "earlier load beats later load",
-        "earlier scoring beats later scoring"])
+], ids=["earlier scoring beats later load", "earlier load beats later load",
+        "earlier load beats later scoring", "earlier scoring beats later scoring"])
 def test_maege_score_failure_precedence_as_sequential(tmp_path, monkeypatch, capsys, damage,
                                                       failing, code, message):
     """With four chains of equal cost, chain i goes to shard i mod shards,
     so with two CPUs c0 and c2 are scored in this process and c1 and c3 in
-    a child.  Every CPU count fails as one CPU does: with the first load
-    failure in manifest order, else the first scoring failure."""
+    a child.  Every CPU count fails as one CPU does: with the first chain in
+    manifest order that fails to load or to score."""
     manifest, graphs = maege_chains(tmp_path, 4, pin_source=0)
     for change, vid in damage:
         change(graphs, vid)

@@ -331,6 +331,12 @@ FIELD_VALUES = [None, True, False, 0, 1, 7, -1, 2.5, "", "w0", Label("r"), [], [
                 ["A", "D"], [1], [True], [Label("A")], {}, {"x": 1}]
 
 
+# A fault for each field of a node or edge record, to put several in one.
+FIELD_FAULTS = {"id": 7, "anchor": "w0", "parent": None, "child": 2.5, "labels": [1],
+                "remote": 0}
+RECORD_FIELDS = {"nodes": ["id", "anchor"], "edges": ["parent", "child", "labels", "remote"]}
+
+
 def read_outcome(read, doc):
     """What ``read(doc)`` gives: the graph's fields, or its error."""
     try:
@@ -344,16 +350,22 @@ def read_outcome(read, doc):
     ("edges", "labels"), ("edges", "remote"),
 ])
 def test_record_fields_read_as_reference(record, field):
-    """One type test per field accepts exactly the records that the
-    field-by-field reader accepts, and builds the same ones."""
+    """The reader accepts exactly the records that the field-by-field
+    reader accepts, and builds the same ones.  Of a record with several
+    faults, this field's value and a fault in one or all of the other
+    fields, it names the fault that the reference names."""
+    others = [f for f in RECORD_FIELDS[record] if f != field]
     docs = []
-    for value in [*FIELD_VALUES, "missing"]:
-        doc = minimal_doc()
-        if value == "missing":
-            doc[record][-1].pop(field, None)
-        else:
-            doc[record][-1][field] = value
-        docs.append(doc)
+    for faulty in [[], *([f] for f in others), others]:
+        for value in [*FIELD_VALUES, "missing"]:
+            doc = minimal_doc()
+            raw = doc[record][-1]
+            raw.update((f, FIELD_FAULTS[f]) for f in faulty)
+            if value == "missing":
+                raw.pop(field, None)
+            else:
+                raw[field] = value
+            docs.append(doc)
     for shape in (Record, list, str):
         doc = minimal_doc()
         doc[record][-1] = shape(doc[record][-1])
