@@ -382,16 +382,12 @@ def extend_alignment(
 def _targets(g: SemanticGraph) -> list[tuple[str, int]]:
     """(u, token bitmask of yu) for each distinct non-empty yield yu of
     ``g``, largest yield first, then smallest id: the candidate order.
-    Nodes with equal yields tie on both, so each yield has one candidate,
-    its smallest id.  Built once per graph, then stored on it."""
-    if g._targets is None:
-        candidates: dict[int, str] = {}
-        for u, yu in sorted(g._yields.items()):
-            if yu:
-                candidates.setdefault(yu, u)
-        ranked = sorted((-yu.bit_count(), u, yu) for yu, u in candidates.items())
-        g._targets = [(u, yu) for _, u, yu in ranked]
-    return g._targets
+    Nodes with equal yields tie on size, so each yield is kept once, at its
+    smallest id, the first of them in that order."""
+    candidates: dict[int, str] = {}
+    for _, u, yu in sorted((-yu.bit_count(), u, yu) for u, yu in g._yields.items() if yu):
+        candidates.setdefault(yu, u)
+    return [(u, yu) for yu, u in candidates.items()]
 
 
 def format_alignment_dump(

@@ -25,6 +25,7 @@ from .harness import (
     VersionChain,
     build_chain,
     emit_manifest,
+    graph_file_name,
     load_manifest,
     read_edit_corpus,
     type_deltas,
@@ -477,7 +478,7 @@ def _load_chain(graphs_dir: Path, chain: VersionChain) -> dict[str, SemanticGrap
     graphs = {}
     for k, tokens in enumerate(chain.versions):
         vid = version_id(chain.sentence_id, k)
-        path = graphs_dir / f"{vid}.json"
+        path = graphs_dir / graph_file_name(chain.sentence_id, k)
         try:  # a name too long for the file system, say
             found = path.is_file()
         except OSError as exc:

@@ -57,14 +57,12 @@ class SemanticGraph(_GraphFields):
     both: ``_validate`` fills ``_yields`` (node id -> token bitmask),
     ``_children`` (node id -> child ids), ``_order`` (node ids, every parent
     before its children) and ``_leaves`` (token index -> anchoring leaf id);
-    ``edge_instances`` fills ``_instances`` and the alignment ``_targets``
-    on first use."""
+    ``edge_instances`` fills ``_instances`` on first use."""
 
     def __new__(cls, id, tokens, nodes, edges, root):
         self = super().__new__(cls, id, tokens, nodes, edges, root)
         self._validate()
         self._instances = {}
-        self._targets = None
         return self
 
     @classmethod

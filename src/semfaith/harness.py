@@ -144,6 +144,15 @@ def version_id(sentence_id: str, position: int) -> str:
     return f"{sentence_id}.v{position}"
 
 
+def graph_file_name(sentence_id: str, position: int) -> str:
+    """The name of the file that holds the parsed graph of a version."""
+    return f"{version_id(sentence_id, position)}.json"
+
+
+# The longest file name, in bytes, that common file systems hold.
+_MAX_NAME_BYTES = 255
+
+
 # -- edit corpus and manifest I/O -----------------------------------------
 
 
@@ -178,7 +187,10 @@ def _claim_sentence_id(sid, seen: set[str], where: str) -> str:
 
 
 def read_edit_corpus(path: str | Path) -> list[tuple[str, list[str], list[EditOperation]]]:
-    """Newline-delimited records {sentence_id, tokens, edits:[...]}."""
+    """Newline-delimited records {sentence_id, tokens, edits:[...]}.  No
+    token or replacement token may be empty, since no graph holds one, and
+    the graph file name of a record's last version must fit in
+    ``_MAX_NAME_BYTES``."""
     out = []
     seen: set[str] = set()
     for lineno, line in enumerate(read_utf8(path, HarnessError).splitlines(), start=1):
@@ -192,7 +204,20 @@ def read_edit_corpus(path: str | Path) -> list[tuple[str, list[str], list[EditOp
             edits = [_edit_from_dict(e) for e in doc["edits"]]
         except (KeyError, TypeError) as exc:
             raise HarnessError(f"{where}: bad record: {exc}") from exc
-        out.append((_claim_sentence_id(sid, seen, where), tokens, edits))
+        _claim_sentence_id(sid, seen, where)
+        strings = [("tokens", tokens)]
+        strings += [(f"edits[{k}].replacement", e.replacement) for k, e in enumerate(edits)]
+        for what, texts in strings:
+            if "" in texts:
+                raise HarnessError(f"{where}: {what}[{texts.index('')}] is an empty string")
+        size = len(graph_file_name(sid, len(edits)).encode("utf-8"))
+        if size > _MAX_NAME_BYTES:
+            raise HarnessError(
+                f"{where}: sentence_id {sid!r} is too long: its graph file name "
+                f"{graph_file_name('<sentence_id>', len(edits))} takes {size} bytes, "
+                f"over {_MAX_NAME_BYTES}"
+            )
+        out.append((sid, tokens, edits))
     return out
 
 

@@ -8,13 +8,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .align import (
-    C_TO_S,
-    S_TO_C,
-    LeafAlignment,
-    align_leaves,
-    extend_alignment,
-)
+from .align import C_TO_S, S_TO_C, align_leaves, extend_alignment
 from .graph import EdgeInstance, SemanticGraph, edge_instances, label_counts
 
 
@@ -145,22 +139,6 @@ def usim_from_alignment(
     return _triple(len(matched_c), len(inst_c), len(matched_s), len(inst_s))
 
 
-def _score_direction(
-    g_s: SemanticGraph,
-    g_c: SemanticGraph,
-    leaf_alignment: LeafAlignment,
-    direction: str,
-    include_remote: bool,
-    strict_parent: bool,
-) -> ScoreTriple:
-    if direction == S_TO_C:
-        pairs = extend_alignment(g_s, g_c, leaf_alignment, direction).pair_set()
-    else:
-        node_alignment = extend_alignment(g_c, g_s, leaf_alignment, direction)
-        pairs = frozenset((s, c) for c, s in node_alignment.mapping)
-    return usim_from_alignment(g_s, g_c, pairs, include_remote, strict_parent)
-
-
 def usim(
     g_s: SemanticGraph,
     g_c: SemanticGraph,
@@ -178,13 +156,13 @@ def usim(
     each direction.
     """
     a_l = align_leaves(
-        g_s.token_texts(), g_c.token_texts(),
-        lowercase=lowercase, max_norm_dist=max_norm_dist,
+        g_s.tokens, g_c.tokens, lowercase=lowercase, max_norm_dist=max_norm_dist
     )
-    forward = _score_direction(g_s, g_c, a_l, S_TO_C, include_remote, strict_parent)
-    backward = _score_direction(g_s, g_c, a_l, C_TO_S, include_remote, strict_parent)
-    average = (forward.f_score + backward.f_score) / 2
-    return UsimReport(forward, backward, average)
+    forward = extend_alignment(g_s, g_c, a_l, S_TO_C).mapping
+    backward = [(s, c) for c, s in extend_alignment(g_c, g_s, a_l, C_TO_S).mapping]
+    s_to_c = usim_from_alignment(g_s, g_c, forward, include_remote, strict_parent)
+    c_to_s = usim_from_alignment(g_s, g_c, backward, include_remote, strict_parent)
+    return UsimReport(s_to_c, c_to_s, (s_to_c.f_score + c_to_s.f_score) / 2)
 
 
 DEFAULT_GROUPS: tuple[tuple[str, frozenset[str]], ...] = (

@@ -777,14 +777,21 @@ def test_empty_input_path_exits_3(command, edit_corpus, tmp_path, monkeypatch, c
 def test_input_path_too_long_exits_3(command, tmp_path, capsys):
     """A path that the file system rejects, as too long here, exits 3 as
     an unreadable file does and writes no report.  In the last case the
-    long name is a version graph's, from a long sentence id."""
+    long name is a version graph's, from a long sentence id that a
+    hand-edited manifest holds (``maege gen`` rejects it)."""
     long = tmp_path / ("a" * 300)
-    records = [{"sentence_id": "s" * (260 if command == "maege score id" else 1),
-                "tokens": ["w0", "w1"],
+    records = [{"sentence_id": "s", "tokens": ["w0", "w1"],
                 "edits": [{"start": 0, "end": 1, "replacement": ["x"], "type": "R"}]}]
     manifest = tmp_path / "m.json"
     edits = write_records(tmp_path / "edits.jsonl", records)
     assert main(["maege", "gen", edits, "--out", str(manifest)]) == 0
+    if command == "maege score id":
+        doc = json.loads(manifest.read_text())
+        for v in doc["versions"]:
+            v["version_id"] = "s" * 259 + v["version_id"]
+        doc["chains"][0]["sentence_id"] = "s" * 260
+        doc["chains"][0]["version_ids"] = [v["version_id"] for v in doc["versions"]]
+        manifest.write_text(json.dumps(doc))
     argv, path = {
         "corpus": (["corpus", str(long), str(long)], long),
         "distsim": (["distsim", str(long), str(long)], long),
@@ -813,6 +820,61 @@ def test_maege_gen_rejects_path_like_sentence_ids(tmp_path, sid, capsys):
     edits = write_records(tmp_path / "edits.jsonl", [record])
     assert main(["maege", "gen", edits, "--out", str(tmp_path / "m.json")]) == 3
     assert "sentence_id" in capsys.readouterr().err
+
+
+def name_of_bytes(size: int, edits: int, wide: bool) -> str:
+    """A sentence id whose last graph file name, ``<id>.v<edits>.json``,
+    takes ``size`` bytes in UTF-8; ``wide`` builds it of two-byte letters."""
+    room = size - len(f".v{edits}.json".encode("utf-8"))
+    return "é" * (room // 2) + "s" * (room % 2) if wide else "s" * room
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["ascii", "two-byte"])
+@pytest.mark.parametrize("edits", [1, 10])
+@pytest.mark.parametrize("size", [255, 256])
+def test_maege_gen_rejects_graph_file_names_over_255_bytes(tmp_path, size, edits, wide, capsys):
+    """The longest graph file name of a record is that of its last version,
+    ``<id>.v<K>.json`` for K edits.  At 255 bytes it is written and read
+    back; at 256 ``maege gen`` exits 3 naming the id and writes no manifest."""
+    sid = name_of_bytes(size, edits, wide)
+    record = {"sentence_id": sid, "tokens": [f"w{i}" for i in range(edits)],
+              "edits": [{"start": i, "end": i + 1, "replacement": ["x"], "type": "R"}
+                        for i in range(edits)]}
+    manifest = tmp_path / "m.json"
+    code = main(["maege", "gen", write_records(tmp_path / "edits.jsonl", [record]),
+                 "--out", str(manifest)])
+    if size > 255:
+        assert code == 3
+        assert not manifest.exists()
+        err = capsys.readouterr().err
+        assert f"line 1: sentence_id {sid!r} is too long" in err
+        assert f".v{edits}.json takes 256 bytes, over 255" in err
+        return
+    assert code == 0
+    graphs = tmp_path / "graphs"
+    graphs.mkdir()
+    write_version_graphs(json.loads(manifest.read_text(encoding="utf-8")), graphs)
+    assert max(len(p.name.encode("utf-8")) for p in graphs.iterdir()) == 255
+    assert main(["maege", "score", str(manifest), str(graphs)]) == 0
+
+
+@pytest.mark.parametrize("field, texts, where", [
+    ("tokens", ["a", ""], "tokens[1]"),
+    ("replacement", ["c", ""], "edits[0].replacement[1]"),
+    ("replacement", [""], "edits[0].replacement[0]"),
+])
+def test_maege_gen_rejects_empty_token_strings(tmp_path, field, texts, where, capsys):
+    """No graph holds an empty token, so no version may have one.  The bad
+    record is on line 2, after a valid one."""
+    edit = {"start": 0, "end": 1, "replacement": ["c"], "type": "Mec"}
+    record = {"sentence_id": "s2", "tokens": ["a", "b"], "edits": [edit]}
+    (edit if field == "replacement" else record)[field] = texts
+    valid = {"sentence_id": "s1", "tokens": ["a"], "edits": []}
+    edits = write_records(tmp_path / "edits.jsonl", [valid, record])
+    manifest = tmp_path / "m.json"
+    assert main(["maege", "gen", edits, "--out", str(manifest)]) == 3
+    assert capsys.readouterr().err.endswith(f"line 2: {where} is an empty string\n")
+    assert not manifest.exists()
 
 
 def test_maege_score_rejects_sentence_id_outside_graphs_dir(edit_corpus, tmp_path, capsys):

@@ -7,7 +7,7 @@ import random
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers_build import LABELS, WORDS, add_random_remotes, make_graph
+from helpers_build import WORDS, random_dag, random_tokens
 from reference import (
     align_leaves_loops,
     canonicalize_sorted,
@@ -83,56 +83,6 @@ def test_distance_table_equals_dp(src, dst):
 # its seed, and drawing each of the many structural choices through
 # hypothesis would make the tests several times slower.
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
-
-
-def random_dag(rng: random.Random, gid: str, tokens: list[str]):
-    """A rooted DAG over ``tokens`` with multi-label edges, unary wrapper
-    chains (so several nodes share a yield), implicit units and up to two
-    remote edges."""
-    nodes: list[tuple[str, int | None]] = []
-    edges: list[tuple] = []
-
-    def new_node() -> str:
-        nid = f"n{len(nodes)}"
-        nodes.append((nid, None))
-        return nid
-
-    def labels() -> set[str]:
-        return set(rng.sample(LABELS, rng.choice((1, 1, 2))))
-
-    def wrap(nid: str) -> str:
-        for _ in range(rng.choice((0, 0, 1, 2))):
-            parent = new_node()
-            edges.append((parent, nid, labels()))
-            nid = parent
-        return nid
-
-    def build(lo: int, hi: int) -> str:
-        if hi - lo == 1:
-            nid = f"w{lo}"
-            nodes.append((nid, lo))
-            return wrap(nid)
-        nid = new_node()
-        k = rng.randint(2, hi - lo)
-        cuts = sorted(rng.sample(range(lo + 1, hi), k - 1))
-        bounds = [lo, *cuts, hi]
-        for a, b in zip(bounds, bounds[1:]):
-            edges.append((nid, build(a, b), labels()))
-        if rng.random() < 0.3:
-            edges.append((nid, new_node(), labels()))  # implicit unit
-        return wrap(nid)
-
-    root = new_node()
-    if tokens:
-        edges.append((root, build(0, len(tokens)), labels()))
-    if not tokens or rng.random() < 0.2:
-        edges.append((root, new_node(), labels()))  # implicit unit
-    g = make_graph(gid, tokens, nodes, edges, root)
-    return add_random_remotes(rng, g)
-
-
-def random_tokens(rng: random.Random) -> list[str]:
-    return [rng.choice(WORDS[:8]) for _ in range(rng.randint(0, 9))]
 
 
 def random_partial_alignment(rng: random.Random, n: int, m: int) -> LeafAlignment:
