@@ -14,7 +14,6 @@ from typing import BinaryIO
 from .graph import (
     GraphFormatError,
     GraphValidationError,
-    SemanticGraph,
     load_graph,
     parse_json,
     read_corpus,
@@ -22,15 +21,13 @@ from .graph import (
 )
 from .harness import (
     HarnessError,
-    VersionChain,
     build_chain,
+    chain_scores,
     emit_manifest,
-    graph_file_name,
+    load_chain_graphs,
     load_manifest,
     read_edit_corpus,
     type_deltas,
-    version_id,
-    version_scores,
 )
 from .measures import (
     ScoreTriple,
@@ -471,46 +468,17 @@ def cmd_maege_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_chain(graphs_dir: Path, chain: VersionChain) -> dict[str, SemanticGraph]:
-    """The graph of every version of ``chain`` by version id, loaded in
-    version order.  Each must exist and hold the manifest tokens of its
-    version."""
-    graphs = {}
-    for k, tokens in enumerate(chain.versions):
-        vid = version_id(chain.sentence_id, k)
-        path = graphs_dir / graph_file_name(chain.sentence_id, k)
-        try:  # a name too long for the file system, say
-            found = path.is_file()
-        except OSError as exc:
-            raise HarnessError(f"cannot read {path}: {exc}") from exc
-        if not found:
-            raise HarnessError(f"no graph file for version {vid!r} at {path}")
-        graphs[vid] = load_graph(path)
-        if graphs[vid].tokens != tokens:
-            raise GraphValidationError(
-                f"graph for version {vid!r} at {path} does not have the "
-                "manifest tokens of that version"
-            )
-    return graphs
-
-
 def cmd_maege_score(args: argparse.Namespace) -> int:
     chains = load_manifest(args.manifest)
-    graphs_dir = Path(args.graphs)
     kwargs = _score_kwargs(args)
-
-    def score(c: int) -> dict[str, Fraction]:
-        return version_scores([chains[c]], _load_chain(graphs_dir, chains[c]), **kwargs)
-
     costs = [
         sum(len(chain.versions[chain.source_index]) * len(tokens) for tokens in chain.versions)
         for chain in chains
     ]
-    scores = {
-        vid: average
-        for chain_scores in _run_shards(costs, _usable_cpus(), score)
-        for vid, average in chain_scores.items()
-    }
+    scores = _run_shards(
+        costs, _usable_cpus(),
+        lambda c: chain_scores(chains[c], load_chain_graphs(args.graphs, chains[c]), **kwargs),
+    )
     _write_report(
         args,
         ["type", "delta_mean", "occurrences"],

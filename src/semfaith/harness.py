@@ -3,8 +3,10 @@ manifest for an external parser, then aggregate per-edit-type score deltas.
 
 The pipeline is split in two phases.  ``build_chain``/``emit_manifest`` work
 on text only and produce every intermediate sentence version; an external
-semantic parser turns versions into graphs; ``compute_deltas`` ingests those
-graphs and averages the score change per edit type.
+semantic parser turns versions into graphs.  ``maege score`` calls
+``chain_scores(chain, load_chain_graphs(graphs_dir, chain))`` for each chain
+and averages the score change per edit type with ``type_deltas``;
+``compute_deltas`` does the same from graphs already parsed, by version id.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
-from .graph import SemanticGraph, parse_json, read_utf8
+from .graph import GraphValidationError, SemanticGraph, load_graph, parse_json, read_utf8
 from .measures import usim
 
 
@@ -186,6 +188,18 @@ def _claim_sentence_id(sid, seen: set[str], where: str) -> str:
     return sid
 
 
+def _check_token_strings(
+    where: str, tokens_name: str, tokens: Sequence[str], edits: Sequence[EditOperation]
+) -> None:
+    """Check that neither ``tokens`` nor an edit's replacement holds an empty
+    string, since no graph holds an empty token."""
+    strings = [(tokens_name, tokens)]
+    strings += [(f"edits[{k}].replacement", e.replacement) for k, e in enumerate(edits)]
+    for what, texts in strings:
+        if "" in texts:
+            raise HarnessError(f"{where}: {what}[{texts.index('')}] is an empty string")
+
+
 def read_edit_corpus(path: str | Path) -> list[tuple[str, list[str], list[EditOperation]]]:
     """Newline-delimited records {sentence_id, tokens, edits:[...]}.  No
     token or replacement token may be empty, since no graph holds one, and
@@ -205,11 +219,7 @@ def read_edit_corpus(path: str | Path) -> list[tuple[str, list[str], list[EditOp
         except (KeyError, TypeError) as exc:
             raise HarnessError(f"{where}: bad record: {exc}") from exc
         _claim_sentence_id(sid, seen, where)
-        strings = [("tokens", tokens)]
-        strings += [(f"edits[{k}].replacement", e.replacement) for k, e in enumerate(edits)]
-        for what, texts in strings:
-            if "" in texts:
-                raise HarnessError(f"{where}: {what}[{texts.index('')}] is an empty string")
+        _check_token_strings(where, "tokens", tokens, edits)
         size = len(graph_file_name(sid, len(edits)).encode("utf-8"))
         if size > _MAX_NAME_BYTES:
             raise HarnessError(
@@ -284,10 +294,11 @@ def _check_replay(
     order,
     source_index,
 ) -> None:
-    """Check that a manifest chain is what ``build_chain`` would record:
+    """Check that a manifest chain is what ``maege gen`` would record:
     ``order`` permutes the edit indices, applying the edits in that order
-    to the first version gives every version, and ``source_index`` names
-    one of them."""
+    to the first version gives every version, ``source_index`` names one of
+    them, and neither the first version nor an edit's replacement holds an
+    empty token string."""
     where = f"bad manifest: chain {sid!r}"
     if (
         not isinstance(order, list)
@@ -299,6 +310,7 @@ def _check_replay(
         raise HarnessError(f"{where}: versions do not replay from the edits in order")
     if not _is_int(source_index) or not 0 <= source_index < len(versions):
         raise HarnessError(f"{where}: source_index {source_index!r} is not a version index")
+    _check_token_strings(where, f"version {version_id(sid, 0)!r} tokens", versions[0], edits)
 
 
 def emit_manifest(chains: Sequence[VersionChain], path: str | Path) -> None:
@@ -315,52 +327,51 @@ def load_manifest(path: str | Path) -> list[VersionChain]:
 # -- delta aggregation -----------------------------------------------------
 
 
-def version_scores(
-    chains: Sequence[VersionChain],
-    parsed_graphs: Mapping[str, SemanticGraph],
-    **score_kwargs,
-) -> dict[str, Fraction]:
-    """The USim average of every version against its chain's source, by
-    version id, scored chain by chain in version order."""
+def load_chain_graphs(graphs_dir: str | Path, chain: VersionChain) -> list[SemanticGraph]:
+    """The graph of every version of ``chain``, in version order, each read
+    from ``<graphs_dir>/<version_id>.json``.  Each must exist and hold the
+    manifest tokens of its version."""
+    graphs = []
+    for k, tokens in enumerate(chain.versions):
+        vid = version_id(chain.sentence_id, k)
+        path = Path(graphs_dir) / graph_file_name(chain.sentence_id, k)
+        try:  # a name too long for the file system, say
+            found = path.is_file()
+        except OSError as exc:
+            raise HarnessError(f"cannot read {path}: {exc}") from exc
+        if not found:
+            raise HarnessError(f"no graph file for version {vid!r} at {path}")
+        graphs.append(load_graph(path))
+        if graphs[k].tokens != tokens:
+            raise GraphValidationError(
+                f"graph for version {vid!r} at {path} does not have the "
+                "manifest tokens of that version"
+            )
+    return graphs
 
-    def graph_for(vid: str) -> SemanticGraph:
-        try:
-            return parsed_graphs[vid]
-        except KeyError:
-            raise HarnessError(f"no parsed graph for version {vid!r}") from None
 
-    scores: dict[str, Fraction] = {}
-    for chain in chains:
-        source = graph_for(version_id(chain.sentence_id, chain.source_index))
-        for k in range(len(chain.versions)):
-            vid = version_id(chain.sentence_id, k)
-            scores[vid] = usim(source, graph_for(vid), **score_kwargs).average
-    return scores
-
-
-def _edit_deltas(
-    chains: Sequence[VersionChain], scores: Mapping[str, Fraction]
-) -> list[tuple[str, Fraction]]:
-    deltas: list[tuple[str, Fraction]] = []
-    for chain in chains:
-        for k, edit_index in enumerate(chain.order, start=1):
-            edit_type = chain.edits[edit_index].edit_type
-            delta = (scores[version_id(chain.sentence_id, k)]
-                     - scores[version_id(chain.sentence_id, k - 1)])
-            deltas.append((edit_type, delta))
-    return deltas
+def chain_scores(
+    chain: VersionChain, graphs: Sequence[SemanticGraph], **score_kwargs
+) -> list[Fraction]:
+    """The USim average of every version of ``chain`` against its source, in
+    version order, from the graph of each version in that order."""
+    source = graphs[chain.source_index]
+    return [usim(source, graph, **score_kwargs).average for graph in graphs]
 
 
 def type_deltas(
-    chains: Sequence[VersionChain], scores: Mapping[str, Fraction]
+    chains: Sequence[VersionChain], scores_per_chain: Sequence[Sequence[Fraction]]
 ) -> list[TypeDelta]:
     """Average score change per edit type, sorted by delta descending, from
-    the USim average of every version by version id."""
+    the ``chain_scores`` of each chain: the edit applied k-th changes the
+    score from that of version k - 1 to that of version k."""
     totals: dict[str, Fraction] = {}
     counts: dict[str, int] = {}
-    for edit_type, delta in _edit_deltas(chains, scores):
-        totals[edit_type] = totals.get(edit_type, Fraction(0)) + delta
-        counts[edit_type] = counts.get(edit_type, 0) + 1
+    for chain, scores in zip(chains, scores_per_chain):
+        for k, edit_index in enumerate(chain.order, start=1):
+            edit_type = chain.edits[edit_index].edit_type
+            totals[edit_type] = totals.get(edit_type, Fraction(0)) + scores[k] - scores[k - 1]
+            counts[edit_type] = counts.get(edit_type, 0) + 1
     report = [
         TypeDelta(t, totals[t] / counts[t], counts[t]) for t in totals
     ]
@@ -373,5 +384,16 @@ def compute_deltas(
     parsed_graphs: Mapping[str, SemanticGraph],
     **score_kwargs,
 ) -> list[TypeDelta]:
-    """Average score change per edit type, sorted by delta descending."""
-    return type_deltas(chains, version_scores(chains, parsed_graphs, **score_kwargs))
+    """Average score change per edit type, sorted by delta descending, from
+    the parsed graph of every version by version id."""
+
+    def graphs_of(chain: VersionChain) -> list[SemanticGraph]:
+        vids = [version_id(chain.sentence_id, k) for k in range(len(chain.versions))]
+        for vid in (vids[chain.source_index], *vids):
+            if vid not in parsed_graphs:
+                raise HarnessError(f"no parsed graph for version {vid!r}")
+        return [parsed_graphs[vid] for vid in vids]
+
+    return type_deltas(
+        chains, [chain_scores(chain, graphs_of(chain), **score_kwargs) for chain in chains]
+    )

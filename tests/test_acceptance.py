@@ -36,8 +36,8 @@ from semfaith import (
     yield_of,
 )
 from semfaith.cli import main as cli_main
-from semfaith.harness import _edit_deltas, apply_edits_in_order, version_scores
-from test_harness import random_edits, toy_parse
+from semfaith.harness import apply_edits_in_order
+from test_harness import random_edits, raw_edit_deltas, toy_parse
 
 
 class timer:
@@ -231,7 +231,7 @@ def test_criterion_7_harness_conservation(tmp_path):
             for k, toks in enumerate(chain.versions):
                 vid = version_id(chain.sentence_id, k)
                 graphs[vid] = toy_parse(toks, vid)
-        raw = _edit_deltas(chains, version_scores(chains, graphs))
+        raw = raw_edit_deltas(chains, graphs)
         table = compute_deltas(chains, graphs)
         lhs = float(sum(td.delta_mean * td.occurrences for td in table))
         rhs = float(sum((d for _, d in raw), Fraction(0)))

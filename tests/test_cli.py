@@ -3,6 +3,7 @@ from __future__ import annotations
 import errno
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from fig1 import fig1_correction, fig1_source
-from helpers_build import graph_from_nested
+from helpers_build import graph_from_nested, random_dag, random_tokens
 from semfaith import (
     S_TO_C,
     LeafAlignment,
@@ -23,6 +24,7 @@ from semfaith import (
     harness,
 )
 from semfaith.cli import main
+from test_harness import random_edits
 
 
 def write_graph(path, graph):
@@ -1032,6 +1034,28 @@ def test_maege_score_rejects_repeated_version_id(edit_corpus, tmp_path, tokens_o
     assert "versions repeat version_id 's1.v0'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("blank, where", [
+    ("apple", "version 's1.v0' tokens[3]"),
+    ("gave", "edits[0].replacement[0]"),
+])
+def test_maege_score_rejects_empty_token_strings(edit_corpus, tmp_path, blank, where, capsys):
+    """A hand-edited manifest that blanks a token in every version holding
+    it still replays, but no graph holds an empty token: ``maege score``
+    exits 3 naming the chain and the index, before it reads any graph."""
+    manifest = tmp_path / "m.json"
+    assert main(["maege", "gen", edit_corpus, "--seed", "7", "--out", str(manifest)]) == 0
+    doc = json.loads(manifest.read_text())
+    for texts in ([v["tokens"] for v in doc["versions"]]
+                  + [e["replacement"] for e in doc["chains"][0]["edits"]]):
+        texts[:] = ["" if t == blank else t for t in texts]
+    manifest.write_text(json.dumps(doc))
+    graphs = tmp_path / "graphs"
+    graphs.mkdir()
+    assert main(["maege", "score", str(manifest), str(graphs)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: bad manifest: chain 's1': {where} is an empty string\n")
+
+
 def test_maege_score_rejects_graph_with_other_tokens(edit_corpus, tmp_path, capsys):
     manifest = _manifest_with_graphs(edit_corpus, tmp_path)
     assert main(["maege", "score", manifest, str(tmp_path)]) == 0
@@ -1117,6 +1141,39 @@ def test_maege_score_forks_one_child_per_extra_cpu(tmp_path, monkeypatch, cpus, 
                        cpus) == 0
     assert len(calls) == forks
     assert par.read_bytes() == seq.read_bytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_maege_score_equals_compute_deltas(tmp_path, monkeypatch, capsys, seed):
+    """The ``maege score`` report is the ``compute_deltas`` report on the
+    same manifest and graphs, rendered, with and without the alignment
+    flags and at one and two CPUs.  The chains are random edits of random
+    tokens, some capitalised, and each version has a random DAG."""
+    rng = random.Random(seed)
+    records = []
+    for i in range(rng.randint(2, 6)):
+        tokens = [w.title() if rng.random() < 0.2 else w for w in random_tokens(rng)]
+        edits = [{"start": e.start, "end": e.end, "replacement": list(e.replacement),
+                  "type": e.edit_type} for e in random_edits(rng, len(tokens))]
+        records.append({"sentence_id": f"s{i}", "tokens": tokens, "edits": edits})
+    manifest = tmp_path / "m.json"
+    edits = write_records(tmp_path / "edits.jsonl", records)
+    assert main(["maege", "gen", edits, "--seed", str(seed), "--out", str(manifest)]) == 0
+    graphs = {v["version_id"]: random_dag(rng, v["version_id"], v["tokens"])
+              for v in json.loads(manifest.read_text())["versions"]}
+    for vid, graph in graphs.items():
+        write_graph(tmp_path / f"{vid}.json", graph)
+    chains = harness.load_manifest(manifest)
+    for flags, kwargs in (([], {}), (["--lowercase", "--max-norm-dist", "0.6"],
+                                     {"lowercase": True, "max_norm_dist": 0.6})):
+        rows = [["type", "delta_mean", "occurrences"]]
+        rows += [[td.edit_type, f"{float(td.delta_mean):.4f}", str(td.occurrences)]
+                 for td in harness.compute_deltas(chains, graphs, **kwargs)]
+        expected = "".join("\t".join(row) + "\n" for row in rows)
+        for cpus in (1, 2):
+            argv = ["maege", "score", str(manifest), str(tmp_path), *flags]
+            assert maege_score(monkeypatch, argv, cpus) == 0
+            assert capsys.readouterr().out == expected, (flags, cpus)
 
 
 V1_QUOTA, V1_PERIOD = "cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us"

@@ -17,9 +17,9 @@ from semfaith import (
     emit_manifest,
     load_manifest,
     read_edit_corpus,
+    usim,
     version_id,
 )
-from semfaith.harness import _edit_deltas, version_scores
 
 EDIT_TYPES = ["Mec", "ArtOrDet", "Wci", "Nn", "Vt"]
 
@@ -187,6 +187,20 @@ def graphs_for(chains, parse=toy_parse):
     return graphs
 
 
+def raw_edit_deltas(chains, graphs):
+    """``(edit type, score change)`` of every applied edit, in chain order:
+    the edit applied k-th changes the usim average against the chain's
+    source from that of version k - 1 to that of version k."""
+    deltas = []
+    for chain in chains:
+        source = graphs[version_id(chain.sentence_id, chain.source_index)]
+        scores = [usim(source, graphs[version_id(chain.sentence_id, k)]).average
+                  for k in range(len(chain.versions))]
+        for k, edit_index in enumerate(chain.order, start=1):
+            deltas.append((chain.edits[edit_index].edit_type, scores[k] - scores[k - 1]))
+    return deltas
+
+
 def test_compute_deltas_identity_parser_all_zero():
     rng = random.Random(2)
     chains = []
@@ -211,7 +225,7 @@ def test_compute_deltas_aggregation_matches_raw():
         tokens = [rng.choice(WORDS) for _ in range(n)]
         chains.append(build_chain(f"s{i}", tokens, random_edits(rng, n), seed=8))
     graphs = graphs_for(chains)
-    raw = _edit_deltas(chains, version_scores(chains, graphs))
+    raw = raw_edit_deltas(chains, graphs)
     report = compute_deltas(chains, graphs)
     for td in report:
         mine = [d for t, d in raw if t == td.edit_type]
@@ -232,4 +246,15 @@ def test_compute_deltas_missing_graph_names_version():
     graphs = graphs_for([chain])
     del graphs["s1.v1"]
     with pytest.raises(HarnessError, match="s1.v1"):
+        compute_deltas([chain], graphs)
+
+
+def test_compute_deltas_looks_up_the_source_first():
+    """With the graphs of versions 0 and 1 both missing, the error names
+    the source, version 1."""
+    chain = build_chain("s1", ["He", "gve"],
+                        [EditOperation(1, 2, ("gave",), "Mec")], seed=0, pin_source_index=1)
+    graphs = graphs_for([chain])
+    del graphs["s1.v0"], graphs["s1.v1"]
+    with pytest.raises(HarnessError, match=r"^no parsed graph for version 's1\.v1'$"):
         compute_deltas([chain], graphs)

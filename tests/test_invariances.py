@@ -62,6 +62,18 @@ def test_record_and_key_order_change_no_report(seed):
 
 @given(seeds)
 @settings(max_examples=100, deadline=None)
+def test_graph_id_changes_no_report(seed):
+    """Renaming either graph, to a new id or to the other graph's, changes
+    no report."""
+    rng = random.Random(seed)
+    g_s, g_c = random_pair(rng)
+    s2, c2 = (g._replace(id=rng.choice(["s", "c", "x", "é\t1"])) for g in (g_s, g_c))
+    for flags in FLAG_SETS:
+        assert usim(s2, c2, **flags) == usim(g_s, g_c, **flags), flags
+
+
+@given(seeds)
+@settings(max_examples=100, deadline=None)
 def test_swap_law(seed):
     """Swapping the two graphs swaps the directions whenever it transposes
     the leaf alignment: the averages are equal, and each directional triple
@@ -91,6 +103,16 @@ FLAG_ARGS = {
 }
 
 
+def write_jsonl(path, graphs) -> str:
+    path.write_text("".join(json.dumps(graph_to_dict(g)) + "\n" for g in graphs),
+                    encoding="utf-8")
+    return str(path)
+
+
+def flag_argv(flags) -> list[str]:
+    return [arg for flag in flags for arg in FLAG_ARGS[flag]]
+
+
 @given(seeds, st.lists(st.sampled_from(sorted(FLAG_ARGS)), unique=True),
        st.sampled_from(["tsv", "json-lines"]))
 @settings(max_examples=15, deadline=None)
@@ -98,16 +120,45 @@ def test_corpus_jobs_give_the_same_bytes(tmp_path_factory, seed, flags, fmt):
     rng = random.Random(seed)
     work = tmp_path_factory.mktemp("corpus")
     pairs = [random_pair(rng, f"p{k}", f"p{k}") for k in range(rng.randint(2, 5))]
-    paths = []
-    for side, graphs in (("source", [s for s, _ in pairs]), ("correction", [c for _, c in pairs])):
-        path = work / f"{side}.jsonl"
-        path.write_text("".join(json.dumps(graph_to_dict(g)) + "\n" for g in graphs),
-                        encoding="utf-8")
-        paths.append(str(path))
-    argv = ["corpus", *paths, "--format", fmt, *(a for f in flags for a in FLAG_ARGS[f])]
+    paths = [write_jsonl(work / "source.jsonl", [s for s, _ in pairs]),
+             write_jsonl(work / "correction.jsonl", [c for _, c in pairs])]
+    argv = ["corpus", *paths, "--format", fmt, *flag_argv(flags)]
     reports = []
     for jobs in ("1", "2"):
         out = work / f"jobs{jobs}"
         assert main([*argv, "--jobs", jobs, "--out", str(out)]) == 0
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
+
+
+@given(seeds, st.lists(st.sampled_from(sorted(FLAG_ARGS)), unique=True),
+       st.sampled_from(["tsv", "json-lines"]))
+@settings(max_examples=15, deadline=None)
+def test_corpus_file_order_gives_the_same_bytes(tmp_path_factory, seed, flags, fmt):
+    """A corpus read from a ``.jsonl`` in id order, from one in a shuffled
+    order, or from a directory whose file names are in a shuffled order of
+    the ids, gives the same report: pairs are matched and listed by id."""
+    rng = random.Random(seed)
+    work = tmp_path_factory.mktemp("order")
+    pairs = [random_pair(rng, f"p{k}", f"p{k}") for k in range(rng.randint(2, 5))]
+    reports = []
+    for layout in ("jsonl", "shuffled jsonl", "directory"):
+        paths = []
+        for side, graphs in (("source", [s for s, _ in pairs]),
+                             ("correction", [c for _, c in pairs])):
+            if layout != "jsonl":
+                rng.shuffle(graphs)
+            if layout == "directory":
+                path = work / side
+                path.mkdir()
+                for k, g in enumerate(graphs):
+                    (path / f"{k}.json").write_text(json.dumps(graph_to_dict(g)),
+                                                   encoding="utf-8")
+                paths.append(str(path))
+            else:
+                paths.append(write_jsonl(work / f"{layout} {side}.jsonl", graphs))
+        out = work / f"{layout}.out"
+        assert main(["corpus", *paths, "--format", fmt, *flag_argv(flags),
+                     "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[1:] == reports[:1] * 2
