@@ -362,7 +362,7 @@ def extend_alignment(
     targets = _targets(g_target)
     children = g_aligned._children
     target_by_partners: dict[int, str] = {}
-    for v in reversed(g_aligned._order):
+    for v in g_aligned._yields:  # every child before its parents
         kids = children[v]
         if not kids:
             continue  # a leaf, done above, or an implicit unit

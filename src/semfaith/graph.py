@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
+from functools import partial
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -54,15 +57,15 @@ class _GraphFields(NamedTuple):
 class SemanticGraph(_GraphFields):
     """A validated graph.  Its five fields are read-only and make up its
     equality and hash.  The stores derived from them are attributes outside
-    both: ``_validate`` fills ``_yields`` (node id -> token bitmask),
-    ``_children`` (node id -> child ids), ``_order`` (node ids, every parent
-    before its children) and ``_leaves`` (token index -> anchoring leaf id);
-    ``edge_instances`` fills ``_instances`` on first use."""
+    both, all set by ``_validate`` and never written afterwards:
+    ``_yields`` (node id -> token bitmask, every child before its parents),
+    ``_children`` (node id -> child ids), ``_leaves`` (token index ->
+    anchoring leaf id) and ``_instances`` (the sorted single-label edge
+    instances, primary edges only at index 0 and all edges at index 1)."""
 
     def __new__(cls, id, tokens, nodes, edges, root):
         self = super().__new__(cls, id, tokens, nodes, edges, root)
         self._validate()
-        self._instances = {}
         return self
 
     @classmethod
@@ -91,7 +94,8 @@ class SemanticGraph(_GraphFields):
 
         children: dict[str, list[str]] = {nid: [] for nid in anchors}
         incoming = dict.fromkeys(anchors, 0)
-        for parent, child, labels, _ in edges:
+        instances: list[tuple[str, str, str, bool]] = []
+        for parent, child, labels, remote in edges:
             if parent not in anchors or child not in anchors:
                 endpoint = child if parent in anchors else parent
                 raise GraphValidationError(
@@ -106,6 +110,8 @@ class SemanticGraph(_GraphFields):
                 )
             children[parent].append(child)
             incoming[child] += 1
+            for label in labels:
+                instances.append((parent, child, label, remote))
 
         if incoming[root]:
             raise GraphValidationError(
@@ -152,7 +158,7 @@ class SemanticGraph(_GraphFields):
         if len(order) != len(anchors):
             _raise_cycle_or_unreachable(gid, root, children)
 
-        # yields, children first
+        # yields, children first (extend_alignment walks them in this order)
         yields: dict[str, int] = {}
         for nid in reversed(order):
             anchor = anchors[nid]
@@ -160,10 +166,24 @@ class SemanticGraph(_GraphFields):
             for kid in children[nid]:
                 acc |= yields[kid]
             yields[nid] = acc
+
+        # instances sorted by (parent, child, label), built by tuple.__new__ for
+        # speed; two edges between two nodes share a label only if one is remote
+        instances.sort(key=itemgetter(0, 1, 2))
+        everything = tuple(map(partial(tuple.__new__, EdgeInstance), instances))
+        if len(set(everything)) != len(everything):
+            ordered = sorted(everything)
+            p, c, label, _ = next(a for a, b in zip(ordered, ordered[1:]) if a == b)
+            raise GraphValidationError(
+                f"graph {gid!r}: edges {p!r}->{c!r} repeat label {label!r}")
+        primary = everything
+        if any(e.remote for e in edges):
+            primary = tuple(inst for inst in everything if not inst.remote)
+
         self._yields = yields
         self._children = children
-        self._order = order
         self._leaves = leaves
+        self._instances = (primary, everything)
 
     # -- queries ----------------------------------------------------------
 
@@ -215,33 +235,14 @@ def yield_of(g: SemanticGraph, node_id: str) -> frozenset[int]:
     return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def edge_instances(
-    g: SemanticGraph, include_remote: bool = True
-) -> tuple[EdgeInstance, ...]:
-    """Expand multi-label edges into single-label instances, in stable order.
-
-    Built once per graph and flag value, then stored on the graph.
-    """
-    cached = g._instances.get(include_remote)
-    if cached is None:
-        out = [
-            EdgeInstance(e.parent, e.child, label, e.remote)
-            for e in g.edges
-            if include_remote or not e.remote
-            for label in e.labels
-        ]
-        out.sort(key=lambda inst: (inst.parent, inst.child, inst.label))
-        cached = g._instances[include_remote] = tuple(out)
-    return cached
+def edge_instances(g: SemanticGraph, include_remote: bool = True) -> tuple[EdgeInstance, ...]:
+    """The graph's edges as single-label instances, sorted by (parent,
+    child, label): the tuple built when the graph was constructed."""
+    return g._instances[include_remote]
 
 
-def label_counts(
-    g: SemanticGraph, include_remote: bool = True
-) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for inst in edge_instances(g, include_remote):
-        counts[inst.label] = counts.get(inst.label, 0) + 1
-    return counts
+def label_counts(g: SemanticGraph, include_remote: bool = True) -> Counter[str]:
+    return Counter(inst.label for inst in edge_instances(g, include_remote))
 
 
 # -- interchange format ---------------------------------------------------

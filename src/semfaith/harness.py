@@ -82,11 +82,6 @@ def _check_non_overlapping(edits: Sequence[EditOperation], n_tokens: int) -> Non
             raise HarnessError(f"overlapping edit spans ({s1},{e1}) and ({s2},{e2})")
 
 
-def _chain_rng(master_seed: int, sentence_id: str) -> random.Random:
-    # one independent, reproducible stream per sentence
-    return random.Random(f"{master_seed}:{sentence_id}")
-
-
 def apply_edits_in_order(
     tokens: Sequence[str],
     edits: Sequence[EditOperation],
@@ -105,9 +100,7 @@ def apply_edits_in_order(
     for k in order:
         edit = edits[k]
         shift = sum(delta for end, delta in shift_events if end <= edit.start)
-        shifted = EditOperation(
-            edit.start + shift, edit.end + shift, edit.replacement, edit.edit_type
-        )
+        shifted = edit._replace(start=edit.start + shift, end=edit.end + shift)
         current = apply_edit(current, shifted)
         versions.append(tuple(current))
         shift_events.append((edit.end, len(edit.replacement) - (edit.end - edit.start)))
@@ -126,17 +119,16 @@ def build_chain(
     The comparison source is drawn uniformly from the resulting versions
     unless pinned.
     """
-    rng = _chain_rng(seed, sentence_id)
+    rng = random.Random(f"{seed}:{sentence_id}")  # one reproducible stream per sentence
     order = list(range(len(edits)))
     rng.shuffle(order)
     versions = apply_edits_in_order(tokens, edits, order)
 
-    if pin_source_index is None:
+    source_index = pin_source_index
+    if source_index is None:
         source_index = rng.randrange(len(versions))
-    else:
-        if not 0 <= pin_source_index < len(versions):
-            raise HarnessError(f"pinned source index {pin_source_index} out of range")
-        source_index = pin_source_index
+    elif not 0 <= source_index < len(versions):
+        raise HarnessError(f"pinned source index {source_index} out of range")
     return VersionChain(
         sentence_id, seed, tuple(order), tuple(versions), source_index, tuple(edits)
     )
@@ -341,13 +333,17 @@ def load_chain_graphs(graphs_dir: str | Path, chain: VersionChain) -> list[Seman
             raise HarnessError(f"cannot read {path}: {exc}") from exc
         if not found:
             raise HarnessError(f"no graph file for version {vid!r} at {path}")
-        graphs.append(load_graph(path))
-        if graphs[k].tokens != tokens:
-            raise GraphValidationError(
-                f"graph for version {vid!r} at {path} does not have the "
-                "manifest tokens of that version"
-            )
+        graphs.append(_version_graph(load_graph(path), tokens, f"version {vid!r} at {path}"))
     return graphs
+
+
+def _version_graph(graph: SemanticGraph, tokens: tuple[str, ...], where: str) -> SemanticGraph:
+    """``graph``, if it holds ``tokens``, the manifest tokens of ``where``."""
+    if graph.tokens != tokens:
+        raise GraphValidationError(
+            f"graph for {where} does not have the manifest tokens of that version"
+        )
+    return graph
 
 
 def chain_scores(
@@ -385,14 +381,16 @@ def compute_deltas(
     **score_kwargs,
 ) -> list[TypeDelta]:
     """Average score change per edit type, sorted by delta descending, from
-    the parsed graph of every version by version id."""
+    the parsed graph of every version by version id.  Each graph must hold
+    the manifest tokens of its version."""
 
     def graphs_of(chain: VersionChain) -> list[SemanticGraph]:
         vids = [version_id(chain.sentence_id, k) for k in range(len(chain.versions))]
         for vid in (vids[chain.source_index], *vids):
             if vid not in parsed_graphs:
                 raise HarnessError(f"no parsed graph for version {vid!r}")
-        return [parsed_graphs[vid] for vid in vids]
+        return [_version_graph(parsed_graphs[vid], tokens, f"version {vid!r}")
+                for vid, tokens in zip(vids, chain.versions)]
 
     return type_deltas(
         chains, [chain_scores(chain, graphs_of(chain), **score_kwargs) for chain in chains]

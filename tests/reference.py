@@ -7,8 +7,8 @@ alignment, a re-sort after every swap for its canonical pair list, a
 ``node_weight`` evaluation for every (node, target) pair for the node
 alignment, a scan of every same-label edge-instance pair for the edge
 matching, a field-by-field reader of interchange documents, and a
-check-by-check validator with one DFS for the graph invariants and
-frozenset yields.
+check-by-check validator with one DFS for the graph invariants, a scan of
+every pair of edges for repeated edge instances, and frozenset yields.
 """
 from __future__ import annotations
 
@@ -321,6 +321,20 @@ def validate_dfs(
     unreachable = sorted(nid for nid in by_id if nid not in state)
     if unreachable:
         raise GraphValidationError(f"graph {gid!r}: nodes unreachable from root: {unreachable}")
+
+    # (parent, child, label, remote) of every label that two edges share
+    repeats = sorted(
+        (e.parent, e.child, label, e.remote)
+        for i, e in enumerate(edges)
+        for f in edges[i + 1:]
+        if (e.parent, e.child, e.remote) == (f.parent, f.child, f.remote)
+        for label in e.labels & f.labels
+    )
+    if repeats:
+        parent, child, label, _ = repeats[0]
+        raise GraphValidationError(
+            f"graph {gid!r}: edges {parent!r}->{child!r} repeat label {label!r}"
+        )
 
     yields: dict[str, frozenset[int]] = {}
     for nid in order:

@@ -103,6 +103,23 @@ def test_score_validation_failure(tmp_path, capsys):
     assert "ghost" in capsys.readouterr().err
 
 
+def test_score_rejects_repeated_edge_instance(tmp_path, capsys):
+    """Two primary edges r->x that share label A would make the graph score
+    0.75 against itself; the document exits 4 instead."""
+    dup = tmp_path / "dup.json"
+    dup.write_text(json.dumps({
+        "id": "g", "tokens": ["a", "b"],
+        "nodes": [{"id": "r"}, {"id": "x", "anchor": 0}, {"id": "y", "anchor": 1}],
+        "edges": [{"parent": "r", "child": "x", "labels": ["A"]},
+                  {"parent": "r", "child": "x", "labels": ["A", "D"]},
+                  {"parent": "r", "child": "y", "labels": ["C"]}],
+        "root": "r",
+    }))
+    assert main(["score", str(dup), str(dup)]) == 4
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: graph 'g': edges 'r'->'x' repeat label 'A'\n")
+
+
 def test_score_to_file(fig1_files, tmp_path):
     src, cor = fig1_files
     out = tmp_path / "report.tsv"
@@ -1065,7 +1082,9 @@ def test_maege_score_rejects_graph_with_other_tokens(edit_corpus, tmp_path, caps
     doc["tokens"][0] = "Zebra"
     path.write_text(json.dumps(doc))
     assert main(["maege", "score", manifest, str(tmp_path)]) == 4
-    assert "'s1.v1'" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: graph for version 's1.v1' at {path} does not have the manifest "
+        "tokens of that version\n")
 
 
 def test_scoring_commands_load_no_numeric_modules(fig1_files, edit_corpus, tmp_path):

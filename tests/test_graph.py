@@ -163,7 +163,9 @@ def test_remote_edges_excludable():
     assert len(edge_instances(g, include_remote=False)) == 3
 
 
-def test_edge_instances_built_once_per_flag():
+def test_edge_instances_stored_at_construction():
+    """Construction builds the instance tuple of each flag value, and
+    ``edge_instances`` returns that same tuple on every call."""
     g = make_graph(
         "g", ["a", "b"],
         [("r", None), ("x", None), ("w0", 0), ("w1", 1)],
@@ -178,6 +180,54 @@ def test_edge_instances_built_once_per_flag():
     assert edge_instances(g, True) != edge_instances(g, False)
     trimmed = SemanticGraph(g.id, g.tokens, g.nodes, g.edges[:-1], g.root)  # no remote edge
     assert len(edge_instances(trimmed)) == len(edge_instances(g)) - 1
+    assert edge_instances(trimmed, False) is edge_instances(trimmed, True)
+
+
+# r -> u -> {x, y}, with x and y anchoring the two tokens.
+TWO_LEAVES = (["a", "b"], [("r", None), ("u", None), ("x", 0), ("y", 1)],
+              [("r", "u", {"H"}), ("u", "x", {"A"}), ("u", "y", {"C"})])
+
+
+def two_leaves(*extra_edges):
+    tokens, nodes, edges = TWO_LEAVES
+    return make_graph("g", tokens, nodes, edges + list(extra_edges), "r")
+
+
+@pytest.mark.parametrize("remote", [False, True])
+def test_repeated_edge_instance_rejected(remote):
+    """Two edges between the same two nodes, both primary or both remote,
+    that share a label would expand to two equal edge instances, of which
+    a matching counts one at most: a graph scored against itself would not
+    score 1.  Every way of building a graph rejects them."""
+    message = "graph 'g': edges 'r'->'x' repeat label 'A'"
+    g = two_leaves(("r", "x", {"A"}, remote))
+    extra = Edge("r", "x", frozenset({"A", "D"}), remote)
+    with pytest.raises(GraphValidationError) as exc:
+        SemanticGraph(g.id, g.tokens, g.nodes, (extra, *g.edges), g.root)
+    assert str(exc.value) == message
+    with pytest.raises(GraphValidationError) as exc:
+        g._replace(edges=g.edges + (extra,))
+    assert str(exc.value) == message
+    doc = graph_to_dict(g)
+    doc["edges"].insert(1, {"parent": "r", "child": "x", "labels": ["D", "A"], "remote": remote})
+    with pytest.raises(GraphValidationError) as exc:
+        graph_from_dict(doc)
+    assert str(exc.value) == message
+
+
+def test_edges_sharing_nodes_and_labels_that_stay_valid():
+    """A primary and a remote edge between the same two nodes may share a
+    label, parallel edges may carry different labels, and a label listed
+    twice in one edge's labels is one label."""
+    both = two_leaves(("r", "x", {"A"}), ("r", "x", {"A"}, True), ("r", "x", {"D"}))
+    assert [inst[:3] for inst in edge_instances(both)] == [
+        ("r", "u", "H"), ("r", "x", "A"), ("r", "x", "A"), ("r", "x", "D"),
+        ("u", "x", "A"), ("u", "y", "C"),
+    ]
+    assert len(edge_instances(both, False)) == 5
+    doc = graph_to_dict(two_leaves())
+    doc["edges"][1]["labels"] = ["A", "A"]
+    assert graph_from_dict(doc) == two_leaves()
 
 
 def test_roundtrip_fixpoint():
@@ -230,6 +280,7 @@ FAULTS = {
     "unanchored token": "are not anchored",
     "cycle reachable from the root": "cycle through edge",
     "cycle not reachable from the root": "unreachable from root",
+    "repeated edge instance": "repeat label",
 }
 
 
@@ -279,6 +330,10 @@ def corrupt(kind: str, rng: random.Random, g: SemanticGraph) -> tuple:
         add_edge(rng.choice(leaves).id, "below")
     elif kind == "unanchored token":
         tokens.append("extra")
+    elif kind == "repeated edge instance":
+        e = edges[k]
+        labels = frozenset({rng.choice(sorted(e.labels)), rng.choice("ADP")})
+        edges.insert(rng.randrange(len(edges) + 1), e._replace(labels=labels))
     else:
         back = [(p, c) for p, c, _, _ in edges if p != root and c in internal]
         if kind == "cycle reachable from the root" and back and rng.random() < 0.5:

@@ -9,6 +9,7 @@ import pytest
 from helpers_build import WORDS, graph_from_nested, merge_edits_order_free
 from semfaith import (
     EditOperation,
+    GraphValidationError,
     HarnessError,
     apply_edit,
     apply_edits_in_order,
@@ -202,19 +203,25 @@ def raw_edit_deltas(chains, graphs):
 
 
 def test_compute_deltas_identity_parser_all_zero():
+    """A parser whose graph ignores the token text gives every version the
+    same score, so every delta is zero.  Each graph must hold its version's
+    tokens, so the parser builds one flat scene over them, and the edits
+    substitute single tokens, keeping every version of a chain one length."""
     rng = random.Random(2)
     chains = []
     for i in range(8):
         n = rng.randint(2, 7)
         tokens = [rng.choice(WORDS) for _ in range(n)]
-        chains.append(build_chain(f"s{i}", tokens, random_edits(rng, n), seed=3))
-    fixed = toy_parse(["the", "same", "graph"], "fixed")
+        edits = [EditOperation(k, k + 1, (rng.choice(WORDS),), rng.choice(EDIT_TYPES))
+                 for k in sorted(rng.sample(range(n), rng.randint(1, min(4, n))))]
+        chains.append(build_chain(f"s{i}", tokens, edits, seed=3))
 
     def identity_parse(tokens, gid):
-        return fixed
+        scene = ("scene", [("A", i) for i in range(len(tokens))])
+        return graph_from_nested(gid, list(tokens), ("z-root", [("H", scene)]))
 
     report = compute_deltas(chains, graphs_for(chains, identity_parse))
-    assert all(td.delta_mean == 0 for td in report)
+    assert report and all(td.delta_mean == 0 for td in report)
 
 
 def test_compute_deltas_aggregation_matches_raw():
@@ -258,3 +265,17 @@ def test_compute_deltas_looks_up_the_source_first():
     del graphs["s1.v0"], graphs["s1.v1"]
     with pytest.raises(HarnessError, match=r"^no parsed graph for version 's1\.v1'$"):
         compute_deltas([chain], graphs)
+
+
+def test_compute_deltas_rejects_graph_with_other_tokens():
+    """Like ``maege score``, which names the graph file too, it refuses a
+    graph that does not hold its version's tokens, here a three-token graph
+    for a two-token version."""
+    chain = build_chain("s1", ["He", "gve"],
+                        [EditOperation(1, 2, ("gave",), "Mec")], seed=0, pin_source_index=1)
+    graphs = graphs_for([chain])
+    graphs["s1.v0"] = toy_parse(["He", "gve", "it"], "s1.v0")
+    with pytest.raises(GraphValidationError) as exc:
+        compute_deltas([chain], graphs)
+    assert str(exc.value) == (
+        "graph for version 's1.v0' does not have the manifest tokens of that version")

@@ -3,6 +3,7 @@ over random DAG pairs.  These are properties a user of the metric relies
 on, not comparisons with a slower copy of the code."""
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import random
@@ -11,7 +12,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers_build import random_dag, random_tokens
-from semfaith import SemanticGraph, align_leaves, graph_to_dict, parse_graph, usim
+from semfaith import (
+    S_TO_C,
+    SemanticGraph,
+    align_leaves,
+    dag_fscore,
+    distsim,
+    edge_instances,
+    extend_alignment,
+    graph_to_dict,
+    match_edges,
+    parse_graph,
+    usim,
+    usim_from_alignment,
+)
 from semfaith.cli import main
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -93,6 +107,42 @@ def test_swap_law(seed):
         for a, b in ((rep.s_to_c, swapped.c_to_s), (rep.c_to_s, swapped.s_to_c)):
             p, r, f, mc, cc, mr, rc = a
             assert b == (r, p, f, mr, rc, mc, cc), flags
+
+
+@given(seeds)
+@settings(max_examples=50, deadline=None)
+def test_scoring_writes_nothing_into_a_graph(seed):
+    """A graph is a value: every store it carries is built at construction,
+    and no scoring call, under any flag set, changes one."""
+    rng = random.Random(seed)
+    g_s, g_c = random_pair(rng)
+    before = [copy.deepcopy(vars(g)) for g in (g_s, g_c)]
+    for flags in FLAG_SETS:
+        edge_flags = {"include_remote": flags["include_remote"],
+                      "strict_parent": flags["strict_parent"]}
+        usim(g_s, g_c, **flags)
+        for g in (g_s, g_c):
+            dag_fscore(g, g, flags["lowercase"], flags["include_remote"])
+        distsim([(g_s, g_c)], include_remote=flags["include_remote"])
+        a_l = align_leaves(g_s.tokens, g_c.tokens, flags["lowercase"], flags["max_norm_dist"])
+        mapping = extend_alignment(g_s, g_c, a_l, S_TO_C).mapping
+        match_edges(g_s, g_c, mapping, **edge_flags)
+        usim_from_alignment(g_s, g_c, mapping, **edge_flags)
+        assert [vars(g) for g in (g_s, g_c)] == before, flags
+
+
+@given(seeds)
+@settings(max_examples=100, deadline=None)
+def test_edge_instance_views_agree(seed):
+    """Without remote edges, the instances are those with them less the
+    remote ones; both are sorted by (parent, child, label), and there is one
+    instance per label of each edge."""
+    g = random_pair(random.Random(seed))[0]
+    everything, primary = edge_instances(g, True), edge_instances(g, False)
+    assert primary == tuple(inst for inst in everything if not inst.remote)
+    for view in (everything, primary):
+        assert [inst[:3] for inst in view] == sorted(inst[:3] for inst in view)
+    assert len(everything) == sum(len(e.labels) for e in g.edges)
 
 
 FLAG_ARGS = {
