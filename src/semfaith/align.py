@@ -10,8 +10,9 @@ own target leaf is.
 """
 from __future__ import annotations
 
-from itertools import repeat
-from operator import add, sub
+from bisect import bisect_right
+from itertools import compress, repeat
+from operator import add, lt, sub
 from typing import NamedTuple, Sequence
 
 from .graph import SemanticGraph
@@ -135,12 +136,21 @@ def align_leaves(
     exceeds the threshold: no returned pair exceeds it, the tie-break
     included.  Each distinct (source string, correction string) pair has
     its distance computed once.
+
+    Two short paths give what the full solve would.  Token lists that are
+    equal (after lowercasing) get the diagonal without a distance table,
+    unless the threshold is negative and so forbids it: every other
+    assignment pairs some i with j != i, so the diagonal is the only one of
+    composite cost 0.  Under a threshold, each row of the cost matrix starts
+    at the forbidden cost and only its allowed cells are written.
     """
     n, m = len(source_tokens), len(correction_tokens)
     if n == 0 or m == 0:
         return LeafAlignment(frozenset())
     src = [t.lower() for t in source_tokens] if lowercase else list(source_tokens)
     dst = [t.lower() for t in correction_tokens] if lowercase else list(correction_tokens)
+    if src == dst and (max_norm_dist is None or not 0 > max_norm_dist):  # NaN allows it
+        return LeafAlignment(zip(range(n), range(n)))
     src_strings, src_ids = _distinct(src)
     dst_strings, dst_ids = _distinct(dst)
     table = _distance_table(src_strings, dst_strings)
@@ -148,27 +158,42 @@ def align_leaves(
     # Every allowed cost is below ``forbidden``.
     shift_unit = min(n, m) * max(n, m) + 1
     forbidden = (max(map(max, table)) + 1) * shift_unit * min(n, m) + 1
-    dst_lengths = [max(len(b), 1) for b in dst_strings]
-    scaled_rows = []
-    for a, row in zip(src_strings, table):
-        if max_norm_dist is None:
-            scaled = [d * shift_unit for d in row]
-        else:
-            # A distance over 0 characters is 0, and so is its norm.
-            longest = map(max, dst_lengths, repeat(len(a)))
-            scaled = [
-                forbidden if d / most > max_norm_dist else d * shift_unit
-                for d, most in zip(row, longest)
-            ]
-        scaled_rows.append(list(map(scaled.__getitem__, dst_ids)))
-    # ramp[n - 1 - i : n - 1 - i + m] is |i - j| for j in range(m).
-    ramp = list(range(n - 1, 0, -1)) + list(range(m))
     cost = []
-    for i, a in enumerate(src_ids):
-        row = map(add, scaled_rows[a], ramp[n - 1 - i : n - 1 - i + m])
-        if max_norm_dist is not None:
-            row = map(min, row, repeat(forbidden))
-        cost.append(list(row))
+    if max_norm_dist is None:
+        # ramp[n - 1 - i : n - 1 - i + m] is |i - j| for j in range(m).
+        ramp = list(range(n - 1, 0, -1)) + list(range(m))
+        scaled_rows = []
+        for row in table:
+            scaled = [d * shift_unit for d in row]
+            scaled_rows.append(list(map(scaled.__getitem__, dst_ids)))
+        for i, a in enumerate(src_ids):
+            cost.append(list(map(add, scaled_rows[a], ramp[n - 1 - i : n - 1 - i + m])))
+    else:
+        # A pair at distance d is forbidden when d / most > max_norm_dist,
+        # most being the longer string's length, or 1 for two empty strings.
+        # The quotient grows with d, so the pairs of one most are allowed
+        # below one limit: the smallest d whose quotient is over the
+        # threshold (most + 1 if none is), found by bisection with the same
+        # division.  The quotient shrinks as most grows, so the limit grows
+        # with most, and a pair's limit is the larger of its two strings'.
+        limits = {}
+        for length in {*map(len, src_strings), *map(len, dst_strings)}:
+            most = max(length, 1)  # most.__rtruediv__(d) is d / most
+            limits[length] = bisect_right(range(most + 1), max_norm_dist, key=most.__rtruediv__)
+        dst_limits = [limits[len(b)] for b in dst_strings]
+        positions: list[list[int]] = [[] for _ in dst_strings]
+        for j, b in enumerate(dst_ids):
+            positions[b].append(j)
+        allowed_cells = []  # (j, d * shift_unit) of each allowed cell, by source string
+        for a, row in zip(src_strings, table):
+            row_limits = map(max, dst_limits, repeat(limits[len(a)]))
+            allowed = compress(range(len(row)), map(lt, row, row_limits))
+            allowed_cells.append([(j, row[b] * shift_unit) for b in allowed for j in positions[b]])
+        for i, a in enumerate(src_ids):
+            row = [forbidden] * m
+            for j, scaled in allowed_cells[a]:
+                row[j] = scaled + abs(i - j)
+            cost.append(row)
     pairs = [(i, j) for i, j in _assign(cost) if cost[i][j] < forbidden]
     return LeafAlignment(_canonicalize(pairs, cost))
 

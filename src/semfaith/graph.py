@@ -370,8 +370,8 @@ def load_graph(path: str | Path) -> SemanticGraph:
     text = read_utf8(path, GraphFormatError)
     try:
         return parse_graph(text)
-    except GraphFormatError as exc:
-        raise GraphFormatError(f"{path}: {exc}") from exc
+    except (GraphFormatError, GraphValidationError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def read_corpus(path: str | Path) -> dict[str, SemanticGraph]:
@@ -398,7 +398,7 @@ def read_corpus(path: str | Path) -> dict[str, SemanticGraph]:
             continue
         try:
             g = parse_graph(line)
-        except GraphFormatError as exc:
-            raise GraphFormatError(f"{source} line {lineno}: {exc}") from exc
+        except (GraphFormatError, GraphValidationError) as exc:
+            raise type(exc)(f"{source} line {lineno}: {exc}") from exc
         add(g)
     return corpus

@@ -93,6 +93,9 @@ def test_align_max_norm_dist_prunes():
     assert a.pairs == frozenset()
     b = align_leaves(["abcd"], ["abxd"], max_norm_dist=0.5)
     assert b.pairs == {(0, 0)}
+    # distance 1 over 4 characters: kept at the threshold, pruned below it
+    assert align_leaves(["gave"], ["gve"], max_norm_dist=0.25).pairs == {(0, 0)}
+    assert align_leaves(["gave"], ["gve"], max_norm_dist=0.2).pairs == frozenset()
 
 
 # Tokens of one to six characters, some in capitals: thresholds cut some

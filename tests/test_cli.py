@@ -52,6 +52,16 @@ def corpus_dirs(tmp_path, pairs):
     return str(src_dir), str(cor_dir)
 
 
+def ghost_edge_graph(gid):
+    """A graph document with an edge into an undeclared node (exit 4)."""
+    return {
+        "id": gid, "tokens": ["a"],
+        "nodes": [{"id": "r"}, {"id": "w", "anchor": 0}],
+        "edges": [{"parent": "r", "child": "ghost", "labels": ["A"]}],
+        "root": "r",
+    }
+
+
 # -- score -----------------------------------------------------------------
 
 
@@ -93,14 +103,10 @@ def test_score_missing_file(tmp_path, capsys):
 
 def test_score_validation_failure(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({
-        "id": "b", "tokens": ["a"],
-        "nodes": [{"id": "r"}, {"id": "w", "anchor": 0}],
-        "edges": [{"parent": "r", "child": "ghost", "labels": ["A"]}],
-        "root": "r",
-    }))
+    bad.write_text(json.dumps(ghost_edge_graph("b")))
     assert main(["score", str(bad), str(bad)]) == 4
-    assert "ghost" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {bad}: graph 'b': edge 'r'->'ghost' references undeclared node 'ghost'\n")
 
 
 def test_score_rejects_repeated_edge_instance(tmp_path, capsys):
@@ -117,7 +123,7 @@ def test_score_rejects_repeated_edge_instance(tmp_path, capsys):
     }))
     assert main(["score", str(dup), str(dup)]) == 4
     out, err = capsys.readouterr()
-    assert (out, err) == ("", "error: graph 'g': edges 'r'->'x' repeat label 'A'\n")
+    assert (out, err) == ("", f"error: {dup}: graph 'g': edges 'r'->'x' repeat label 'A'\n")
 
 
 def test_score_to_file(fig1_files, tmp_path):
@@ -207,6 +213,25 @@ def test_corpus_no_pairs(tmp_path, capsys):
         tmp_path, [("a", fig1_source("a"), None), ("b", None, fig1_source("b"))]
     )
     assert main(["corpus", src, cor]) == 5
+
+
+def test_corpus_validation_error_names_file_and_line(tmp_path, capsys):
+    """The source and the correction of a pair share a graph id, so a
+    validation error names the file, or the line of a ``.jsonl`` corpus,
+    that holds the bad graph, as a format error does."""
+    message = "graph 'p': edge 'r'->'ghost' references undeclared node 'ghost'"
+    src, cor = corpus_dirs(tmp_path, [("p", fig1_source("p"), None)])
+    bad = Path(cor) / "p.json"
+    bad.write_text(json.dumps(ghost_edge_graph("p")))
+    assert main(["corpus", src, cor]) == 4
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    src_lines = tmp_path / "src.jsonl"
+    src_lines.write_text(json.dumps(graph_to_dict(fig1_source("p"))) + "\n")
+    cor_lines = tmp_path / "cor.jsonl"
+    cor_lines.write_text(json.dumps(graph_to_dict(fig1_source("q"))) + "\n\n"
+                         + json.dumps(ghost_edge_graph("p")) + "\n")
+    assert main(["corpus", str(src_lines), str(cor_lines)]) == 4
+    assert capsys.readouterr().err == f"error: {cor_lines} line 3: {message}\n"
 
 
 def test_corpus_parallel_matches_sequential(tmp_path):
@@ -1085,6 +1110,18 @@ def test_maege_score_rejects_graph_with_other_tokens(edit_corpus, tmp_path, caps
     assert capsys.readouterr().err == (
         f"error: graph for version 's1.v1' at {path} does not have the manifest "
         "tokens of that version\n")
+
+
+def test_maege_score_validation_error_names_the_graph_file(edit_corpus, tmp_path, capsys):
+    manifest = _manifest_with_graphs(edit_corpus, tmp_path)
+    path = tmp_path / "s1.v1.json"
+    doc = json.loads(path.read_text())
+    doc["edges"].append({"parent": doc["root"], "child": "ghost", "labels": ["A"]})
+    path.write_text(json.dumps(doc))
+    assert main(["maege", "score", manifest, str(tmp_path)]) == 4
+    assert capsys.readouterr().err == (
+        f"error: {path}: graph 's1.v1': edge {doc['root']!r}->'ghost' references "
+        "undeclared node 'ghost'\n")
 
 
 def test_scoring_commands_load_no_numeric_modules(fig1_files, edit_corpus, tmp_path):

@@ -6,12 +6,13 @@ from __future__ import annotations
 import copy
 import itertools
 import json
+import math
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers_build import random_dag, random_tokens
+from helpers_build import WORDS, random_dag, random_tokens
 from semfaith import (
     S_TO_C,
     SemanticGraph,
@@ -143,6 +144,54 @@ def test_edge_instance_views_agree(seed):
     for view in (everything, primary):
         assert [inst[:3] for inst in view] == sorted(inst[:3] for inst in view)
     assert len(everything) == sum(len(e.labels) for e in g.edges)
+
+
+def recased(rng: random.Random, tokens: list[str]) -> list[str]:
+    return [rng.choice((t, t.upper(), t.title())) for t in tokens]
+
+
+@given(seeds)
+@settings(max_examples=200, deadline=None)
+def test_equal_token_lists_align_on_the_diagonal(seed):
+    """Token lists equal after lowercasing align each token to its own
+    position under every threshold that allows a distance of 0; a negative
+    threshold forbids every pair."""
+    rng = random.Random(seed)
+    tokens = recased(rng, random_tokens(rng))
+    diagonal = {(i, i) for i in range(len(tokens))}
+    for lowercase, other in ((False, list(tokens)), (True, recased(rng, tokens))):
+        for t in (None, 0.0, -0.0, 0.3, 1.0, math.inf, math.nan):
+            assert align_leaves(tokens, other, lowercase, t).pairs == diagonal, (lowercase, t)
+        assert align_leaves(tokens, other, lowercase, -0.5).pairs == frozenset()
+
+
+def edited(rng: random.Random, tokens: list[str]) -> list[str]:
+    """``tokens`` after a few token insertions, deletions and replacements,
+    and case changes, as a correction of them would be."""
+    out = recased(rng, tokens)
+    for _ in range(rng.randint(0, 3)):
+        k = rng.randrange(len(out) + 1)
+        word = rng.choice(WORDS)
+        if rng.random() < 0.4:
+            out.insert(k, word)
+        elif k < len(out):
+            out[k:k + 1] = [] if rng.random() < 0.5 else [word]
+    return out
+
+
+@given(seeds)
+@settings(max_examples=200, deadline=None)
+def test_threshold_of_one_or_more_prunes_nothing(seed):
+    """No distance exceeds the longer token's length, so any threshold of 1
+    or more (and NaN, which no quotient exceeds) gives the alignment of no
+    threshold: the cells written under a threshold are all of them."""
+    rng = random.Random(seed)
+    src = recased(rng, random_tokens(rng))
+    dst = edited(rng, src) if rng.random() < 0.7 else recased(rng, random_tokens(rng))
+    for lowercase in (False, True):
+        expected = align_leaves(src, dst, lowercase)
+        for t in (1.0, 1.5, 7, math.inf, math.nan):
+            assert align_leaves(src, dst, lowercase, t) == expected, (lowercase, t)
 
 
 FLAG_ARGS = {

@@ -2,6 +2,7 @@
 reference implementations in ``reference.py``."""
 from __future__ import annotations
 
+import math
 import random
 
 from hypothesis import example, given, settings
@@ -149,6 +150,47 @@ def test_align_leaves_equals_loops(seed):
     assert align_leaves(src, dst, lowercase, max_norm_dist) == align_leaves_loops(
         src, dst, lowercase, max_norm_dist
     )
+
+
+# Thresholds at exact quotients k / L, where a pair at distance k of a
+# longer token of L characters is exactly at the threshold and kept, beside
+# 0, 1 and inf, and NaN and negative values, which the library takes and
+# the CLI rejects.
+THRESHOLDS = sorted({k / L for L in range(1, 13) for k in range(1, L)}) + [
+    0.0, -0.0, 1.0, 1.5, math.inf, math.nan, -0.25, -math.inf]
+# Words of 8 or more characters give two-byte lanes in the distance table.
+BOUNDARY_WORDS = ["a", "ab", "gave", "apple", "abcdefgh", "accommodate", "Mississippi"]
+LONG_WORD = "Ab" * 130  # past 255 characters
+
+
+def near_miss(rng: random.Random) -> str:
+    """A word with up to three random edits (it may end up empty), in
+    capitals now and then, so that ``lowercase`` matters."""
+    word = LONG_WORD if rng.random() < 0.05 else rng.choice(BOUNDARY_WORDS)
+    chars = list(word)
+    for _ in range(rng.randint(0, 3)):
+        k = rng.randrange(len(chars) + 1)
+        if rng.random() < 0.4:
+            chars.insert(k, rng.choice("abAB"))
+        elif k < len(chars):
+            chars[k:k + 1] = [] if rng.random() < 0.5 else [rng.choice("abAB")]
+    token = "".join(chars)
+    return token.upper() if rng.random() < 0.2 else token
+
+
+@given(seeds, st.sampled_from(THRESHOLDS))
+@settings(max_examples=300, deadline=None)
+def test_align_leaves_at_threshold_boundaries_equals_loops(seed, max_norm_dist):
+    """The cells that ``align_leaves`` writes under a threshold are the
+    ones the oracle leaves unpruned, at and around exact quotients."""
+    rng = random.Random(seed)
+    src = [near_miss(rng) for _ in range(rng.randint(0, 6))]
+    dst = [rng.choice(src) if src and rng.random() < 0.3 else near_miss(rng)
+           for _ in range(rng.randint(0, 6))]
+    for lowercase in (False, True):
+        assert align_leaves(src, dst, lowercase, max_norm_dist) == align_leaves_loops(
+            src, dst, lowercase, max_norm_dist
+        ), lowercase
 
 
 # In these, aligned nodes contain the yields of targets of three or more
