@@ -11,8 +11,7 @@ own target leaf is.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import compress, repeat
-from operator import add, lt, sub
+from operator import add, sub
 from typing import NamedTuple, Sequence
 
 from .graph import SemanticGraph
@@ -134,41 +133,47 @@ def align_leaves(
     smallest pair list.  ``max_norm_dist`` optionally forbids pairs whose
     normalized edit distance (distance over the longer string's length)
     exceeds the threshold: no returned pair exceeds it, the tie-break
-    included.  Each distinct (source string, correction string) pair has
-    its distance computed once.
-
-    Two short paths give what the full solve would.  Token lists that are
-    equal (after lowercasing) get the diagonal without a distance table,
-    unless the threshold is negative and so forbids it: every other
-    assignment pairs some i with j != i, so the diagonal is the only one of
-    composite cost 0.  Under a threshold, each row of the cost matrix starts
-    at the forbidden cost and only its allowed cells are written.
+    included.  The one-correction case of ``align_leaves_batch``.
     """
-    n, m = len(source_tokens), len(correction_tokens)
-    if n == 0 or m == 0:
-        return LeafAlignment(frozenset())
+    return align_leaves_batch(source_tokens, [correction_tokens], lowercase, max_norm_dist)[0]
+
+
+def align_leaves_batch(
+    source_tokens: Sequence[str],
+    corrections: Sequence[Sequence[str]],
+    lowercase: bool = False,
+    max_norm_dist: float | None = None,
+) -> list[LeafAlignment]:
+    """The ``align_leaves`` result of each correction token list against one
+    source, in order.
+
+    Each distinct (source string, correction string) pair of the batch has
+    its distance computed once, in one table; the threshold limits and each
+    correction string's allowed cells are also found once.  Each correction
+    is then solved on its own, with the composite costs of that pair alone.
+
+    Two short paths give what the full solve would.  A correction equal to
+    the source (after lowercasing) gets the diagonal and adds no string to
+    the table, unless the threshold is negative and so forbids it: every
+    other assignment pairs some i with j != i, so the diagonal is the only
+    one of composite cost 0.  Under a threshold, each row of the cost matrix
+    starts at the forbidden cost and only its allowed cells are written.
+    """
+    n = len(source_tokens)
     src = [t.lower() for t in source_tokens] if lowercase else list(source_tokens)
-    dst = [t.lower() for t in correction_tokens] if lowercase else list(correction_tokens)
-    if src == dst and (max_norm_dist is None or not 0 > max_norm_dist):  # NaN allows it
-        return LeafAlignment(zip(range(n), range(n)))
+    dsts = [[t.lower() for t in c] if lowercase else list(c) for c in corrections]
+    diagonal = max_norm_dist is None or not 0 > max_norm_dist  # NaN allows it
     src_strings, src_ids = _distinct(src)
-    dst_strings, dst_ids = _distinct(dst)
-    table = _distance_table(src_strings, dst_strings)
-    # Composite integer cost: edit distance first, |i - j| as tie-breaker.
-    # Every allowed cost is below ``forbidden``.
-    shift_unit = min(n, m) * max(n, m) + 1
-    forbidden = (max(map(max, table)) + 1) * shift_unit * min(n, m) + 1
-    cost = []
-    if max_norm_dist is None:
-        # ramp[n - 1 - i : n - 1 - i + m] is |i - j| for j in range(m).
-        ramp = list(range(n - 1, 0, -1)) + list(range(m))
-        scaled_rows = []
-        for row in table:
-            scaled = [d * shift_unit for d in row]
-            scaled_rows.append(list(map(scaled.__getitem__, dst_ids)))
-        for i, a in enumerate(src_ids):
-            cost.append(list(map(add, scaled_rows[a], ramp[n - 1 - i : n - 1 - i + m])))
-    else:
+    # Table column of each distinct string of the corrections to be solved.
+    columns: dict[str, int] = {}
+    for dst in dsts:
+        if n and not (diagonal and dst == src):
+            for b in dst:
+                columns.setdefault(b, len(columns))
+    table = _distance_table(src_strings, list(columns)) if columns else []
+    by_column = list(zip(*table))
+    column_max = list(map(max, by_column))
+    if max_norm_dist is not None:
         # A pair at distance d is forbidden when d / most > max_norm_dist,
         # most being the longer string's length, or 1 for two empty strings.
         # The quotient grows with d, so the pairs of one most are allowed
@@ -177,25 +182,50 @@ def align_leaves(
         # division.  The quotient shrinks as most grows, so the limit grows
         # with most, and a pair's limit is the larger of its two strings'.
         limits = {}
-        for length in {*map(len, src_strings), *map(len, dst_strings)}:
+        for length in {*map(len, src_strings), *map(len, columns)}:
             most = max(length, 1)  # most.__rtruediv__(d) is d / most
             limits[length] = bisect_right(range(most + 1), max_norm_dist, key=most.__rtruediv__)
-        dst_limits = [limits[len(b)] for b in dst_strings]
-        positions: list[list[int]] = [[] for _ in dst_strings]
-        for j, b in enumerate(dst_ids):
-            positions[b].append(j)
-        allowed_cells = []  # (j, d * shift_unit) of each allowed cell, by source string
-        for a, row in zip(src_strings, table):
-            row_limits = map(max, dst_limits, repeat(limits[len(a)]))
-            allowed = compress(range(len(row)), map(lt, row, row_limits))
-            allowed_cells.append([(j, row[b] * shift_unit) for b in allowed for j in positions[b]])
-        for i, a in enumerate(src_ids):
-            row = [forbidden] * m
-            for j, scaled in allowed_cells[a]:
-                row[j] = scaled + abs(i - j)
-            cost.append(row)
-    pairs = [(i, j) for i, j in _assign(cost) if cost[i][j] < forbidden]
-    return LeafAlignment(_canonicalize(pairs, cost))
+        src_limits = [limits[len(a)] for a in src_strings]
+        allowed = []  # (source string, distance) of each allowed cell, by column
+        for b, column in zip(columns, by_column):
+            limit = limits[len(b)]
+            allowed.append([(a, d) for a, (d, src_limit) in enumerate(zip(column, src_limits))
+                            if d < limit or d < src_limit])
+    out = []
+    for dst in dsts:
+        m = len(dst)
+        if n == 0 or m == 0:
+            out.append(LeafAlignment(frozenset()))
+            continue
+        if diagonal and dst == src:
+            out.append(LeafAlignment(zip(range(n), range(n))))
+            continue
+        dst_ids = [columns[b] for b in dst]
+        # Composite integer cost: edit distance first, |i - j| as tie-breaker.
+        # Every allowed cost is below ``forbidden``, which is taken from this
+        # correction's own strings.
+        shift_unit = min(n, m) * max(n, m) + 1
+        forbidden = (max(map(column_max.__getitem__, dst_ids)) + 1) * shift_unit * min(n, m) + 1
+        cost = []
+        if max_norm_dist is None:
+            # ramp[n - 1 - i : n - 1 - i + m] is |i - j| for j in range(m).
+            ramp = list(range(n - 1, 0, -1)) + list(range(m))
+            scaled_rows = [[row[b] * shift_unit for b in dst_ids] for row in table]
+            for i, a in enumerate(src_ids):
+                cost.append(list(map(add, scaled_rows[a], ramp[n - 1 - i : n - 1 - i + m])))
+        else:
+            cells: list[list[tuple[int, int]]] = [[] for _ in src_strings]
+            for j, b in enumerate(dst_ids):
+                for a, d in allowed[b]:
+                    cells[a].append((j, d * shift_unit))
+            for i, a in enumerate(src_ids):
+                row = [forbidden] * m
+                for j, scaled in cells[a]:
+                    row[j] = scaled + abs(i - j)
+                cost.append(row)
+        pairs = [(i, j) for i, j in _assign(cost) if cost[i][j] < forbidden]
+        out.append(LeafAlignment(_canonicalize(pairs, cost)))
+    return out
 
 
 def _assign(cost: list[list[int]]) -> list[tuple[int, int]]:

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 from .graph import GraphValidationError, SemanticGraph, load_graph, parse_json, read_utf8
-from .measures import usim
+from .measures import usim_batch
 
 
 class HarnessError(ValueError):
@@ -346,24 +346,42 @@ def _version_graph(graph: SemanticGraph, tokens: tuple[str, ...], where: str) ->
     return graph
 
 
+def _check_version_count(chain: VersionChain, count: int, what: str) -> None:
+    if count != len(chain.versions):
+        raise HarnessError(
+            f"chain {chain.sentence_id!r} has {len(chain.versions)} versions, "
+            f"but {count} {what} were given"
+        )
+
+
 def chain_scores(
     chain: VersionChain, graphs: Sequence[SemanticGraph], **score_kwargs
 ) -> list[Fraction]:
     """The USim average of every version of ``chain`` against its source, in
-    version order, from the graph of each version in that order."""
+    version order, from the graph of each version in that order, which must
+    hold one graph per version.  One ``usim_batch`` call scores them all, so
+    each distinct (source string, version string) distance is computed once
+    per chain."""
+    _check_version_count(chain, len(graphs), "graphs")
     source = graphs[chain.source_index]
-    return [usim(source, graph, **score_kwargs).average for graph in graphs]
+    return [report.average for report in usim_batch(source, graphs, **score_kwargs)]
 
 
 def type_deltas(
     chains: Sequence[VersionChain], scores_per_chain: Sequence[Sequence[Fraction]]
 ) -> list[TypeDelta]:
     """Average score change per edit type, sorted by delta descending, from
-    the ``chain_scores`` of each chain: the edit applied k-th changes the
-    score from that of version k - 1 to that of version k."""
+    the ``chain_scores`` of each chain, one score list per chain and one
+    score per version: the edit applied k-th changes the score from that of
+    version k - 1 to that of version k."""
+    if len(scores_per_chain) != len(chains):
+        raise HarnessError(
+            f"{len(chains)} chains, but {len(scores_per_chain)} score lists were given"
+        )
     totals: dict[str, Fraction] = {}
     counts: dict[str, int] = {}
     for chain, scores in zip(chains, scores_per_chain):
+        _check_version_count(chain, len(scores), "scores")
         for k, edit_index in enumerate(chain.order, start=1):
             edit_type = chain.edits[edit_index].edit_type
             totals[edit_type] = totals.get(edit_type, Fraction(0)) + scores[k] - scores[k - 1]

@@ -8,7 +8,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .align import C_TO_S, S_TO_C, align_leaves, extend_alignment
+from .align import C_TO_S, S_TO_C, align_leaves_batch, extend_alignment
 from .graph import EdgeInstance, SemanticGraph, edge_instances, label_counts
 
 
@@ -153,16 +153,34 @@ def usim(
     over the source's; the direction only controls which side's nodes are
     argmax-aligned onto the other.  The leaf alignment does not depend on
     the direction, so it is computed once and lifted to a node alignment in
-    each direction.
+    each direction.  The one-correction case of ``usim_batch``.
     """
-    a_l = align_leaves(
-        g_s.tokens, g_c.tokens, lowercase=lowercase, max_norm_dist=max_norm_dist
+    return usim_batch(g_s, [g_c], lowercase, include_remote, strict_parent, max_norm_dist)[0]
+
+
+def usim_batch(
+    g_s: SemanticGraph,
+    corrections: Sequence[SemanticGraph],
+    lowercase: bool = False,
+    include_remote: bool = True,
+    strict_parent: bool = False,
+    max_norm_dist: float | None = None,
+) -> list[UsimReport]:
+    """The ``usim`` report of each correction graph against one source, in
+    order.  The leaves of all corrections are aligned in one
+    ``align_leaves_batch`` call, which computes the distance of each
+    distinct string pair once for the whole batch."""
+    leaf_alignments = align_leaves_batch(
+        g_s.tokens, [g_c.tokens for g_c in corrections], lowercase, max_norm_dist
     )
-    forward = extend_alignment(g_s, g_c, a_l, S_TO_C).mapping
-    backward = [(s, c) for c, s in extend_alignment(g_c, g_s, a_l, C_TO_S).mapping]
-    s_to_c = usim_from_alignment(g_s, g_c, forward, include_remote, strict_parent)
-    c_to_s = usim_from_alignment(g_s, g_c, backward, include_remote, strict_parent)
-    return UsimReport(s_to_c, c_to_s, (s_to_c.f_score + c_to_s.f_score) / 2)
+    reports = []
+    for g_c, a_l in zip(corrections, leaf_alignments):
+        forward = extend_alignment(g_s, g_c, a_l, S_TO_C).mapping
+        backward = [(s, c) for c, s in extend_alignment(g_c, g_s, a_l, C_TO_S).mapping]
+        s_to_c = usim_from_alignment(g_s, g_c, forward, include_remote, strict_parent)
+        c_to_s = usim_from_alignment(g_s, g_c, backward, include_remote, strict_parent)
+        reports.append(UsimReport(s_to_c, c_to_s, (s_to_c.f_score + c_to_s.f_score) / 2))
+    return reports
 
 
 DEFAULT_GROUPS: tuple[tuple[str, frozenset[str]], ...] = (

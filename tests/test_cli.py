@@ -1298,14 +1298,15 @@ def test_maege_score_failure_precedence_as_sequential(tmp_path, monkeypatch, cap
     manifest, graphs = maege_chains(tmp_path, 4, pin_source=0)
     for change, vid in damage:
         change(graphs, vid)
-    real_usim = harness.usim
+    real_usim_batch = harness.usim_batch
 
-    def failing_usim(g_s, g_c, **kwargs):
-        if g_c.id in failing:
-            raise TokenMismatchError(f"{g_c.id} failed to score")
-        return real_usim(g_s, g_c, **kwargs)
+    def failing_usim_batch(g_s, corrections, **kwargs):
+        for g_c in corrections:
+            if g_c.id in failing:
+                raise TokenMismatchError(f"{g_c.id} failed to score")
+        return real_usim_batch(g_s, corrections, **kwargs)
 
-    monkeypatch.setattr(harness, "usim", failing_usim)
+    monkeypatch.setattr(harness, "usim_batch", failing_usim_batch)
     out = tmp_path / "out.tsv"
     errors = []
     for cpus in (1, 2, 3, 4):
@@ -1320,14 +1321,14 @@ def test_maege_score_failure_precedence_as_sequential(tmp_path, monkeypatch, cap
 def test_maege_score_worker_death_fails_without_report(tmp_path, monkeypatch, capsys):
     manifest, graphs = maege_chains(tmp_path, 2)
     parent = os.getpid()
-    real_usim = harness.usim
+    real_usim_batch = harness.usim_batch
 
-    def dying_usim(g_s, g_c, **kwargs):
+    def dying_usim_batch(g_s, corrections, **kwargs):
         if os.getpid() != parent:
             os._exit(7)
-        return real_usim(g_s, g_c, **kwargs)
+        return real_usim_batch(g_s, corrections, **kwargs)
 
-    monkeypatch.setattr(harness, "usim", dying_usim)
+    monkeypatch.setattr(harness, "usim_batch", dying_usim_batch)
     out = tmp_path / "out.tsv"
     assert maege_score(monkeypatch, ["maege", "score", manifest, graphs, "--out", str(out)],
                        2) == 1

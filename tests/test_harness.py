@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from helpers_build import WORDS, graph_from_nested, merge_edits_order_free
+from helpers_build import WORDS, graph_from_nested, merge_edits_order_free, random_dag
 from semfaith import (
     EditOperation,
     GraphValidationError,
     HarnessError,
+    VersionChain,
     apply_edit,
     apply_edits_in_order,
     build_chain,
@@ -21,6 +22,7 @@ from semfaith import (
     usim,
     version_id,
 )
+from semfaith.harness import chain_scores, type_deltas
 
 EDIT_TYPES = ["Mec", "ArtOrDet", "Wci", "Nn", "Vt"]
 
@@ -279,3 +281,77 @@ def test_compute_deltas_rejects_graph_with_other_tokens():
         compute_deltas([chain], graphs)
     assert str(exc.value) == (
         "graph for version 's1.v0' does not have the manifest tokens of that version")
+
+
+def three_version_chain():
+    edits = [EditOperation(1, 2, ("gave",), "Mec"), EditOperation(2, 2, ("it",), "Ins")]
+    return build_chain("s1", ["He", "gve"], edits, seed=0, pin_source_index=0)
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_chain_scores_rejects_a_graph_count_other_than_the_versions(count):
+    """Two graphs for three versions would end in an IndexError, and four
+    would have the extra graph ignored: both are refused, naming the chain
+    and both counts."""
+    chain = three_version_chain()
+    graphs = [toy_parse(tokens, version_id("s1", k)) for k, tokens in enumerate(chain.versions)]
+    graphs = (graphs + graphs)[:count]
+    with pytest.raises(HarnessError) as exc:
+        chain_scores(chain, graphs)
+    assert str(exc.value) == f"chain 's1' has 3 versions, but {count} graphs were given"
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_type_deltas_rejects_a_score_count_other_than_the_versions(count):
+    chain = three_version_chain()
+    with pytest.raises(HarnessError) as exc:
+        type_deltas([chain], [[Fraction(1)] * count])
+    assert str(exc.value) == f"chain 's1' has 3 versions, but {count} scores were given"
+
+
+def test_type_deltas_rejects_a_score_list_count_other_than_the_chains():
+    chain = three_version_chain()
+    for lists in ([], [[Fraction(1)] * 3] * 2):
+        with pytest.raises(HarnessError) as exc:
+            type_deltas([chain], lists)
+        assert str(exc.value) == f"1 chains, but {len(lists)} score lists were given"
+
+
+def test_chain_scores_one_distance_per_distinct_string_pair(monkeypatch):
+    """A chain makes one distance-table call, in which each distinct
+    (source string, version string) pair appears once.  A version equal to
+    the source (after lowercasing) adds no string: here version 1 differs
+    from the source only in case, and ``sat`` (``The`` too, without
+    lowercasing) is in no other version."""
+    import semfaith.align
+
+    calls = []
+    real = semfaith.align._distance_table
+
+    def counting(src, dst):
+        calls.append([(a, b) for a in src for b in dst])
+        return real(src, dst)
+
+    monkeypatch.setattr(semfaith.align, "_distance_table", counting)
+    edits = [EditOperation(0, 1, ("the",), "Case"), EditOperation(2, 3, ("sits",), "Verb"),
+             EditOperation(5, 5, ("Now",), "Ins")]
+    versions = apply_edits_in_order(["The", "cat", "sat", "the", "mat"], edits, (0, 1, 2))
+    chain = VersionChain("s1", 0, (0, 1, 2), tuple(versions), 0, tuple(edits))
+    rng = random.Random(5)
+    graphs = [random_dag(rng, version_id("s1", k), list(tokens))
+              for k, tokens in enumerate(chain.versions)]
+    for lowercase, source_only in ((False, "The"), (True, "sat")):
+        norm = str.lower if lowercase else str
+        source = [norm(t) for t in chain.versions[0]]
+        others = [[norm(t) for t in v] for v in chain.versions if [norm(t) for t in v] != source]
+        expected = {(a, b) for a in source for b in itertools.chain(*others)}
+        assert source_only in source and not any(source_only in v for v in others)
+        for max_norm_dist in (None, 0.4):
+            calls.clear()
+            chain_scores(chain, graphs, lowercase=lowercase, max_norm_dist=max_norm_dist)
+            assert len(calls) == 1
+            assert sorted(calls[0]) == sorted(expected)
+    calls.clear()
+    only = build_chain("s2", ["The", "cat"], [], seed=0)
+    chain_scores(only, [random_dag(rng, "s2.v0", ["The", "cat"])])
+    assert calls == []

@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import random
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,8 +16,11 @@ from hypothesis import strategies as st
 from helpers_build import WORDS, random_dag, random_tokens
 from semfaith import (
     S_TO_C,
+    EditOperation,
     SemanticGraph,
+    VersionChain,
     align_leaves,
+    build_chain,
     dag_fscore,
     distsim,
     edge_instances,
@@ -26,8 +30,11 @@ from semfaith import (
     parse_graph,
     usim,
     usim_from_alignment,
+    version_id,
 )
+from semfaith.align import align_leaves_batch
 from semfaith.cli import main
+from semfaith.harness import chain_scores
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -192,6 +199,82 @@ def test_threshold_of_one_or_more_prunes_nothing(seed):
         expected = align_leaves(src, dst, lowercase)
         for t in (1.0, 1.5, 7, math.inf, math.nan):
             assert align_leaves(src, dst, lowercase, t) == expected, (lowercase, t)
+
+
+def random_chain(rng: random.Random) -> tuple[VersionChain, list[SemanticGraph]]:
+    """A maege chain of up to three edits of random tokens, some capitalised
+    (insertions, deletions, replacements and case-only changes, so that a
+    version may equal the source after lowercasing), and a random DAG for
+    each version."""
+    tokens = [t.title() if rng.random() < 0.2 else t for t in random_tokens(rng)]
+    edits = []
+    for pos in sorted(rng.sample(range(len(tokens) + 1), min(3, len(tokens) + 1))):
+        word = rng.choice(WORDS)
+        if pos == len(tokens) or rng.random() < 0.3:
+            edits.append(EditOperation(pos, pos, (word,), "Ins"))
+        elif rng.random() < 0.3:
+            edits.append(EditOperation(pos, pos + 1, (), "Del"))
+        else:
+            replacement = rng.choice((word, tokens[pos].upper(), tokens[pos].title()))
+            edits.append(EditOperation(pos, pos + 1, (replacement,), "Rep"))
+    chain = build_chain("s", tokens, edits, rng.randrange(1000))
+    graphs = [random_dag(rng, version_id("s", k), list(v)) for k, v in enumerate(chain.versions)]
+    return chain, graphs
+
+
+@given(seeds)
+@settings(max_examples=50, deadline=None)
+def test_chain_scores_equal_usim_per_version(seed):
+    """Scoring a chain in one batch gives each version the score of its own
+    ``usim`` call against the source."""
+    chain, graphs = random_chain(random.Random(seed))
+    source = graphs[chain.source_index]
+    for flags in FLAG_SETS:
+        expected = [usim(source, g, **flags).average for g in graphs]
+        assert chain_scores(chain, graphs, **flags) == expected, flags
+
+
+def solved(aligner, *args):
+    """``aligner(*args)``, and the cost matrices it hands the solver."""
+    import semfaith.align
+
+    costs = []
+    real = semfaith.align._assign
+
+    def recording(cost):
+        costs.append(cost)
+        return real(cost)
+
+    with mock.patch.object(semfaith.align, "_assign", recording):
+        return aligner(*args), costs
+
+
+@given(seeds)
+@settings(max_examples=100, deadline=None)
+def test_batch_alignment_equals_alignment_per_correction(seed):
+    """Aligning several corrections against one source in one batch gives
+    each the alignment of its own ``align_leaves`` call: the distances of
+    the other corrections' strings change neither its forbidden cost nor
+    its allowed cells.  The corrections repeat strings, change case and
+    include the source itself; the thresholds include every exact k / L of
+    the token lengths L, 0, NaN, inf and a negative value.  The solver is
+    handed the same cost matrices too: the alignment does not depend on the
+    value of the forbidden cost, as long as it is above every total of
+    allowed cells, but the composite costs do."""
+    rng = random.Random(seed)
+    source = recased(rng, random_tokens(rng))
+    corrections = [edited(rng, source) for _ in range(rng.randint(1, 4))]
+    corrections += [recased(rng, source), list(source), recased(rng, random_tokens(rng))]
+    rng.shuffle(corrections)
+    lengths = {len(t) for t in itertools.chain(source, *corrections)}
+    thresholds = [None, 0.0, -0.25, math.nan, math.inf]
+    thresholds += sorted({k / L for L in lengths for k in range(L + 1)})
+    for lowercase in (False, True):
+        for t in thresholds:
+            singles = [solved(align_leaves, source, c, lowercase, t) for c in corrections]
+            expected = ([a for a, _ in singles], [cost for _, costs in singles for cost in costs])
+            assert solved(align_leaves_batch, source, corrections, lowercase, t) == expected, (
+                lowercase, t)
 
 
 FLAG_ARGS = {

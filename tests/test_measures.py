@@ -347,13 +347,13 @@ def test_usim_aligns_leaves_once_per_pair(monkeypatch):
     import semfaith.measures
 
     calls = []
-    real = semfaith.measures.align_leaves
+    real = semfaith.measures.align_leaves_batch
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(semfaith.measures, "align_leaves", counting)
+    monkeypatch.setattr(semfaith.measures, "align_leaves_batch", counting)
     rng = random.Random(61)
     pairs = [(random_valid_graph(rng, "s"), random_valid_graph(rng, "c")) for _ in range(5)]
     for g_s, g_c in pairs:
