@@ -366,39 +366,51 @@ def parse_graph(text: str) -> SemanticGraph:
     return graph_from_dict(parse_json(text, GraphFormatError, "document"))
 
 
-def load_graph(path: str | Path) -> SemanticGraph:
-    text = read_utf8(path, GraphFormatError)
+def _parse_at(where: str | Path, text: str) -> SemanticGraph:
+    """The graph of the document ``text``.  A format or validation error is
+    raised again with ``where``, the file or line the text came from, in
+    front of its message."""
     try:
         return parse_graph(text)
     except (GraphFormatError, GraphValidationError) as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+        raise type(exc)(f"{where}: {exc}") from exc
+
+
+def read_json_lines(path: str | Path, error: type[ValueError]) -> list[tuple[str, str]]:
+    r"""The non-blank lines of the JSON Lines file at ``path``, each with
+    where it is, ``<path> line <N>``.  Lines end only at ``"\n"``, into which
+    ``read_utf8``'s text mode turns ``"\r\n"`` and ``"\r"``: where Python's
+    file iteration ends them, and not at U+0085, U+2028 or U+2029, which a
+    JSON string may hold unescaped, nor at the other breaks of splitlines."""
+    lines = enumerate(read_utf8(path, error).split("\n"), start=1)
+    return [(f"{path} line {n}", line) for n, line in lines if line.strip()]
+
+
+def load_graph(path: str | Path) -> SemanticGraph:
+    return _parse_at(path, read_utf8(path, GraphFormatError))
 
 
 def read_corpus(path: str | Path) -> dict[str, SemanticGraph]:
-    """Graphs by id from a directory of documents or a newline-delimited
-    file, read in order.  A graph whose id an earlier graph has raises."""
-    corpus: dict[str, SemanticGraph] = {}
-
-    def add(g: SemanticGraph) -> None:
-        if g.id in corpus:
-            raise GraphFormatError(f"{path}: duplicate graph id {g.id!r}")
-        corpus[g.id] = g
-
+    """Graphs by id from a directory of documents, read in file name order,
+    or from a JSON Lines file (see ``read_json_lines``), read in line order.
+    A graph whose id an earlier graph has raises, naming the files or lines
+    of both."""
     source = Path(path)
     try:  # a name too long for the file system, say
         files = sorted(c for c in source.iterdir() if c.is_file()) if source.is_dir() else None
     except OSError as exc:
         raise GraphFormatError(f"cannot read {path}: {exc}") from exc
-    if files is not None:
-        for child in files:
-            add(load_graph(child))
-        return corpus
-    for lineno, line in enumerate(read_utf8(source, GraphFormatError).splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            g = parse_graph(line)
-        except (GraphFormatError, GraphValidationError) as exc:
-            raise type(exc)(f"{source} line {lineno}: {exc}") from exc
-        add(g)
+    if files is None:
+        documents = read_json_lines(source, GraphFormatError)
+    else:
+        documents = ((child, read_utf8(child, GraphFormatError)) for child in files)
+    corpus: dict[str, SemanticGraph] = {}
+    first: dict[str, str | Path] = {}  # graph id -> where it was read
+    for where, text in documents:
+        g = _parse_at(where, text)
+        if g.id in corpus:
+            raise GraphFormatError(
+                f"{where}: duplicate graph id {g.id!r}, first read at {first[g.id]}")
+        corpus[g.id] = g
+        first[g.id] = where
     return corpus

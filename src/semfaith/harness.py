@@ -16,7 +16,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
-from .graph import GraphValidationError, SemanticGraph, load_graph, parse_json, read_utf8
+from .graph import (GraphValidationError, SemanticGraph, load_graph, parse_json,
+                    read_json_lines, read_utf8)
 from .measures import usim_batch
 
 
@@ -193,16 +194,13 @@ def _check_token_strings(
 
 
 def read_edit_corpus(path: str | Path) -> list[tuple[str, list[str], list[EditOperation]]]:
-    """Newline-delimited records {sentence_id, tokens, edits:[...]}.  No
-    token or replacement token may be empty, since no graph holds one, and
-    the graph file name of a record's last version must fit in
-    ``_MAX_NAME_BYTES``."""
+    """Records {sentence_id, tokens, edits:[...]}, one per non-blank line of
+    a JSON Lines file (see ``graph.read_json_lines``).  No token or
+    replacement token may be empty, since no graph holds one, and the graph
+    file name of a record's last version must fit in ``_MAX_NAME_BYTES``."""
     out = []
     seen: set[str] = set()
-    for lineno, line in enumerate(read_utf8(path, HarnessError).splitlines(), start=1):
-        if not line.strip():
-            continue
-        where = f"{path} line {lineno}"
+    for where, line in read_json_lines(path, HarnessError):
         doc = parse_json(line, HarnessError, where)
         try:
             sid = doc["sentence_id"]

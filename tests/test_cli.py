@@ -24,6 +24,7 @@ from semfaith import (
     harness,
 )
 from semfaith.cli import main
+from test_graph import UNICODE_LINE_BREAKS
 from test_harness import random_edits
 
 
@@ -390,6 +391,84 @@ def test_corpus_jsonl_stream_input(tmp_path, capsys):
     cor.write_text(json.dumps(graph_to_dict(g)) + "\n")
     assert main(["corpus", str(src), str(cor)]) == 0
     assert "fig1" in capsys.readouterr().out
+
+
+def test_corpus_duplicate_id_names_both_graphs(tmp_path, capsys):
+    """A graph id read twice exits 3, naming the ``.jsonl`` line or the file
+    of each of the two graphs."""
+    text, other = (json.dumps(graph_to_dict(fig1_source(gid))) for gid in "gh")
+    stream = tmp_path / "dup.jsonl"
+    stream.write_text(f"{text}\n{other}\n\n{text}\n")
+    assert main(["corpus", str(stream), str(stream)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {stream} line 4: duplicate graph id 'g', first read at {stream} line 1\n")
+    src, _ = corpus_dirs(tmp_path, [("a", fig1_source("g"), None), ("b", fig1_source("g"), None)])
+    first, second = Path(src) / "a.json", Path(src) / "b.json"
+    assert main(["corpus", src, src]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {second}: duplicate graph id 'g', first read at {first}\n")
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["CRLF", "CR"])
+def test_jsonl_records_end_at_crlf_and_lone_cr(newline, tmp_path, capsys):
+    """Text mode reads ``\\r\\n`` and a lone ``\\r`` as ``\\n``, so a
+    ``.jsonl`` corpus or edit corpus written with either is read, and its
+    lines are numbered, as with ``\\n``: the bad record after a good one
+    and a blank line is line 3."""
+    good, bad = json.dumps(graph_to_dict(fig1_source("q"))), json.dumps(ghost_edge_graph("p"))
+    src = write_graph(tmp_path / "src.jsonl", fig1_source("q"))
+    cor = tmp_path / "cor.jsonl"
+    cor.write_bytes(newline.join([good, "", bad, ""]).encode())
+    assert main(["corpus", src, str(cor)]) == 4
+    assert capsys.readouterr().err.startswith(f"error: {cor} line 3: graph 'p': ")
+    cor.write_bytes(newline.join([good, "", ""]).encode())
+    assert main(["corpus", src, str(cor)]) == 0
+    assert capsys.readouterr().out.endswith("\t1.0000\n")
+    record = {"sentence_id": "s1", "tokens": ["He", "gve"],
+              "edits": [{"start": 1, "end": 2, "replacement": ["gave"], "type": "Mec"}]}
+    empty = {**record, "sentence_id": "s2", "tokens": ["He", ""]}
+    edits = tmp_path / "edits.jsonl"
+    edits.write_bytes(newline.join([json.dumps(record), "", json.dumps(empty), ""]).encode())
+    assert main(["maege", "gen", str(edits), "--out", str(tmp_path / "m.json")]) == 3
+    assert capsys.readouterr().err == f"error: {edits} line 3: tokens[1] is an empty string\n"
+
+
+# Characters at which ``str.splitlines`` ends a line but JSON Lines does not.
+NOT_NEWLINES = ["\v", "\f", "\x1c", "\x1d", "\x1e", *UNICODE_LINE_BREAKS]
+
+
+@pytest.mark.parametrize("separator", NOT_NEWLINES, ids=ascii)
+def test_jsonl_records_end_only_at_a_newline(separator, edit_corpus, tmp_path, capsys):
+    """Two records that such a character separates are one line, and that
+    line is not JSON, in a corpus and in an edit corpus alike."""
+    stream = tmp_path / "c.jsonl"
+    stream.write_text(separator.join(json.dumps(graph_to_dict(fig1_source(gid)))
+                                     for gid in "pq") + "\n", encoding="utf-8")
+    assert main(["corpus", str(stream), str(stream)]) == 3
+    assert capsys.readouterr().err.startswith(
+        f"error: {stream} line 1: document: invalid JSON: Extra data")
+    records = Path(edit_corpus).read_text(encoding="utf-8").split("\n")
+    Path(edit_corpus).write_text(separator.join(records), encoding="utf-8")
+    assert main(["maege", "gen", edit_corpus, "--out", str(tmp_path / "m.json")]) == 3
+    assert capsys.readouterr().err.startswith(
+        f"error: {edit_corpus} line 1: invalid JSON: Extra data")
+
+
+def test_tsv_guard_refuses_a_line_break_that_the_reader_keeps(tmp_path, capsys):
+    """A graph id holding a raw U+2028 reads, since a JSON Lines record ends
+    only at a newline.  A TSV reader may end a row there, so a TSV report
+    refuses the id, naming its column, and a JSON Lines report keeps it."""
+    stream = tmp_path / "c.jsonl"
+    stream.write_text(json.dumps(graph_to_dict(fig1_source("a\u2028b")), ensure_ascii=False)
+                      + "\n", encoding="utf-8")
+    out = tmp_path / "report"
+    assert main(["corpus", str(stream), str(stream), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "TSV column 'id' cannot hold" in err and "use --format json-lines" in err
+    assert not out.exists()
+    assert main(["corpus", str(stream), str(stream), "--format", "json-lines",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8").split("\n")[0])["id"] == "a\u2028b"
 
 
 # -- distsim ---------------------------------------------------------------
@@ -781,6 +860,24 @@ def test_rejects_negative_or_nan_max_norm_dist(fig1_files, value, capsys):
 def write_records(path, records):
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
     return str(path)
+
+
+@pytest.mark.parametrize("char", UNICODE_LINE_BREAKS, ids=ascii)
+def test_maege_gen_reads_unicode_line_break_in_strings(char, tmp_path):
+    """An edit record whose strings hold the character raw gives the same
+    manifest bytes as the record with the character escaped."""
+    record = {"sentence_id": f"s{char}1", "tokens": ["He", f"g{char}ve"],
+              "edits": [{"start": 1, "end": 2, "replacement": [f"ga{char}ve"],
+                         "type": f"M{char}ec"}]}
+    manifests = []
+    for raw in (True, False):
+        edits = tmp_path / f"edits-{raw}.jsonl"
+        edits.write_text(json.dumps(record, ensure_ascii=not raw) + "\n", encoding="utf-8")
+        assert (char in edits.read_text(encoding="utf-8")) == raw
+        out = tmp_path / f"manifest-{raw}.json"
+        assert main(["maege", "gen", str(edits), "--out", str(out)]) == 0
+        manifests.append(out.read_bytes())
+    assert manifests[0] == manifests[1]
 
 
 def write_version_graphs(doc, directory):

@@ -17,7 +17,9 @@ from semfaith import (
     edge_instances,
     graph_from_dict,
     graph_to_dict,
+    load_graph,
     parse_graph,
+    read_corpus,
     yield_of,
 )
 
@@ -30,6 +32,34 @@ def minimal_doc():
         "edges": [{"parent": "r", "child": "leaf", "labels": ["A"]}],
         "root": "r",
     }
+
+
+# Characters at which str.splitlines ends a line but a JSON Lines reader must
+# not: JSON strings may hold them unescaped, and json.dumps(...,
+# ensure_ascii=False) writes them so.
+UNICODE_LINE_BREAKS = ["\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", UNICODE_LINE_BREAKS, ids=ascii)
+def test_unicode_line_break_in_strings_reads_from_every_input(char, tmp_path):
+    """A graph whose id, token and edge label hold the character reads to
+    the same graph from a ``.jsonl`` corpus, from a directory and through
+    ``load_graph``, whether the character is written raw or escaped."""
+    doc = minimal_doc()
+    doc["id"] = f"s{char}1"
+    doc["tokens"] = [f"He{char}llo"]
+    doc["edges"][0]["labels"] = [f"A{char}B"]
+    g = graph_from_dict(doc)
+    for raw in (True, False):
+        text, other = (json.dumps(d, ensure_ascii=not raw) for d in (doc, {**doc, "id": "other"}))
+        assert (char in text) == raw
+        where = tmp_path / f"raw-{raw}"
+        (where / "dir").mkdir(parents=True)
+        (where / "dir" / "g.json").write_text(text, encoding="utf-8")
+        (where / "c.jsonl").write_text(f"{text}\n{other}\n", encoding="utf-8")
+        assert load_graph(where / "dir" / "g.json") == g
+        assert read_corpus(where / "dir") == {g.id: g}
+        assert read_corpus(where / "c.jsonl") == {g.id: g, "other": g._replace(id="other")}
 
 
 def test_parse_smallest_legal_graph():
