@@ -65,7 +65,10 @@ EXIT_CODES = {
 
 
 def _fmt(x: Fraction) -> str:
-    return f"{float(x):.4f}"
+    """``x`` to four decimals: the exact value rounded half to even, with
+    its sign kept, so a value in [-0.00005, 0) prints ``-0.0000``."""
+    q = round(abs(x) * 10000)
+    return f"{'-' if x < 0 else ''}{q // 10000}.{q % 10000:04d}"
 
 
 def _triple_dict(t: ScoreTriple) -> dict:

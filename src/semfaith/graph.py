@@ -146,26 +146,39 @@ class SemanticGraph(_GraphFields):
                 f"graph {gid!r}: tokens {missing} are not anchored by any leaf"
             )
 
-        # Kahn's algorithm from the root, the only node without an incoming
-        # edge.  It orders every node exactly when all are reachable and none
-        # is on a cycle; otherwise the DFS names the fault.
-        order = [root]
-        for nid in order:
-            for kid in children[nid]:
-                incoming[kid] -= 1
-                if not incoming[kid]:
-                    order.append(kid)
-        if len(order) != len(anchors):
-            _raise_cycle_or_unreachable(gid, root, children)
-
-        # yields, children first (extend_alignment walks them in this order)
+        # One depth-first pass from the root, children in list order: a back
+        # edge is a cycle, and a node's yield is set once its children are
+        # done, so ``yields`` lists every child before its parents.  A leaf
+        # takes its yield where the pass meets it; only parents are stacked.
         yields: dict[str, int] = {}
-        for nid in reversed(order):
-            anchor = anchors[nid]
-            acc = 0 if anchor is None else 1 << anchor
-            for kid in children[nid]:
-                acc |= yields[kid]
-            yields[nid] = acc
+        path = {root}  # the nodes on the stack
+        stack = [(root, iter(children[root]))]
+        while stack:
+            nid, kids = stack[-1]
+            for kid in kids:
+                if kid in yields:
+                    continue
+                if kid in path:
+                    raise GraphValidationError(
+                        f"graph {gid!r}: cycle through edge {nid!r}->{kid!r}")
+                if children[kid]:
+                    path.add(kid)
+                    stack.append((kid, iter(children[kid])))
+                    break
+                anchor = anchors[kid]
+                yields[kid] = 0 if anchor is None else 1 << anchor
+            else:
+                stack.pop()
+                path.remove(nid)
+                anchor = anchors[nid]  # None unless nid is a root without edges
+                acc = 0 if anchor is None else 1 << anchor
+                for kid in children[nid]:
+                    acc |= yields[kid]
+                yields[nid] = acc
+        if len(yields) != len(anchors):
+            unreachable = sorted(nid for nid in anchors if nid not in yields)
+            raise GraphValidationError(
+                f"graph {gid!r}: nodes unreachable from root: {unreachable}")
 
         # instances sorted by (parent, child, label), built by tuple.__new__ for
         # speed; two edges between two nodes share a label only if one is remote
@@ -198,32 +211,6 @@ class SemanticGraph(_GraphFields):
     def anchored_leaves(self) -> dict[int, str]:
         """Token index -> id of the leaf anchoring it."""
         return dict(self._leaves)
-
-
-def _raise_cycle_or_unreachable(gid: str, root: str, children: dict[str, list[str]]):
-    """Raise for the first cycle a DFS from the root meets, else for the
-    nodes it does not reach."""
-    state: dict[str, int] = {root: 1}  # 1 = on stack, 2 = done
-    stack: list[tuple[str, int]] = [(root, 0)]
-    while stack:
-        nid, ci = stack[-1]
-        kids = children[nid]
-        if ci < len(kids):
-            stack[-1] = (nid, ci + 1)
-            kid = kids[ci]
-            st = state.get(kid)
-            if st == 1:
-                raise GraphValidationError(
-                    f"graph {gid!r}: cycle through edge {nid!r}->{kid!r}"
-                )
-            if st is None:
-                state[kid] = 1
-                stack.append((kid, 0))
-        else:
-            state[nid] = 2
-            stack.pop()
-    unreachable = sorted(nid for nid in children if nid not in state)
-    raise GraphValidationError(f"graph {gid!r}: nodes unreachable from root: {unreachable}")
 
 
 def yield_of(g: SemanticGraph, node_id: str) -> frozenset[int]:

@@ -90,21 +90,18 @@ def apply_edits_in_order(
 ) -> list[tuple[str, ...]]:
     """All versions produced by applying the edits in the given order.
 
-    Each pending edit's span is remapped by the cumulative length deltas of
-    already applied edits that end at or before its start.  Returns
-    ``len(order) + 1`` versions, the original first.
+    Version k is the original tokens with the first k edits of the order
+    applied at their own spans, spliced from the last span to the first so
+    that no splice moves a span still to come.  Returns ``len(order) + 1``
+    versions, the original first.
     """
     _check_non_overlapping(edits, len(tokens))
     versions = [tuple(tokens)]
-    current = list(tokens)
-    shift_events: list[tuple[int, int]] = []  # (original end, length delta)
-    for k in order:
-        edit = edits[k]
-        shift = sum(delta for end, delta in shift_events if end <= edit.start)
-        shifted = edit._replace(start=edit.start + shift, end=edit.end + shift)
-        current = apply_edit(current, shifted)
+    for k in range(1, len(order) + 1):
+        current = list(tokens)
+        for edit in sorted((edits[i] for i in order[:k]), reverse=True):
+            current[edit.start:edit.end] = edit.replacement
         versions.append(tuple(current))
-        shift_events.append((edit.end, len(edit.replacement) - (edit.end - edit.start)))
     return versions
 
 

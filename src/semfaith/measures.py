@@ -39,33 +39,16 @@ class LabelDistSim(NamedTuple):
     similarity: Fraction  # unofficial similarity view, 1 / (1 + value)
 
 
-def _harmonic(p: Fraction, r: Fraction) -> Fraction:
-    if p == 0 or r == 0:
-        return Fraction(0)
-    return 2 * p * r / (p + r)
-
-
-def _triple(
-    matched_candidate: int,
-    candidate_count: int,
-    matched_reference: int,
-    reference_count: int,
-) -> ScoreTriple:
-    if candidate_count == 0 and reference_count == 0:
-        one = Fraction(1)
-        return ScoreTriple(one, one, one, 0, 0, 0, 0)
-    if candidate_count == 0 or reference_count == 0:
-        zero = Fraction(0)
-        return ScoreTriple(
-            zero, zero, zero,
-            matched_candidate, candidate_count, matched_reference, reference_count,
-        )
-    p = Fraction(matched_candidate, candidate_count)
-    r = Fraction(matched_reference, reference_count)
-    return ScoreTriple(
-        p, r, _harmonic(p, r),
-        matched_candidate, candidate_count, matched_reference, reference_count,
-    )
+def _triple(mc: int, cc: int, mr: int, rc: int) -> ScoreTriple:
+    """The scores of ``mc`` matched of ``cc`` candidate instances and ``mr``
+    matched of ``rc`` reference instances.  F is 2pr / (p + r), computed
+    from the counts as 2·mc·mr / (mc·rc + mr·cc), or 0 when either matched
+    count is 0.  Two empty sides score 1, and one empty side 0."""
+    if not (cc and rc):
+        score = Fraction(int(cc == rc))
+        return ScoreTriple(score, score, score, mc, cc, mr, rc)
+    f = Fraction(2 * mc * mr, mc * rc + mr * cc) if mc and mr else Fraction(0)
+    return ScoreTriple(Fraction(mc, cc), Fraction(mr, rc), f, mc, cc, mr, rc)
 
 
 def dag_fscore(

@@ -7,6 +7,7 @@ import random
 import signal
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -515,6 +516,46 @@ def test_distsim_empty_groups_path_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value, text", [
+    (Fraction(1, 160), "0.0062"),
+    (Fraction(7, 160), "0.0438"),
+    (Fraction(161, 160), "1.0062"),
+    (Fraction(-1, 20000), "-0.0000"),
+    (Fraction(-1, 100000), "-0.0000"),
+    (Fraction(29, 32), "0.9062"),
+    (Fraction(-3, 7), "-0.4286"),
+    (Fraction(0), "0.0000"),
+    (Fraction(1), "1.0000"),
+    (Fraction(5, 2), "2.5000"),
+], ids=str)
+def test_fmt_rounds_the_exact_value_half_to_even(value, text):
+    """Four decimals of the exact value: a tie at the fifth decimal goes to
+    the even digit whichever way its nearest float lies, and a negative
+    value keeps its sign when it rounds to zero."""
+    assert cli._fmt(value) == text
+
+
+def test_distsim_rounds_a_tie_half_to_even(tmp_path, capsys):
+    """160 one-token pairs, one of whose corrections adds an edge labelled
+    B: B's distance is 1/160 = 0.00625 exactly, and prints 0.0062."""
+    def pair(k, extra):
+        return graph_from_nested(f"p{k:03d}", ["a"], ("r", [("A", 0), *extra]))
+
+    src = write_records(tmp_path / "src.jsonl",
+                        [graph_to_dict(pair(k, [])) for k in range(160)])
+    cor = write_records(tmp_path / "cor.jsonl",
+                        [graph_to_dict(pair(k, [("B", "implicit:u")] if k == 0 else []))
+                         for k in range(160)])
+    assert main(["distsim", src, cor]) == 0
+    assert capsys.readouterr().out == (
+        "group\tlabels\tdistance\tsimilarity\n"
+        "A+D\tA,D\t0.0000\t1.0000\n"
+        "Scene\tH\t0.0000\t1.0000\n"
+        "A\tA\t0.0000\t1.0000\n"
+        "B\tB\t0.0062\t0.9938\n"
+    )
+
+
 # -- maege -----------------------------------------------------------------
 
 
@@ -679,6 +720,39 @@ def test_report_bytes(command, fmt, fig1_files, edit_corpus, tmp_path, capsys):
     capsys.readouterr()
     assert main([*argv, "--format", fmt]) == 0
     assert capsys.readouterr().out == GOLDEN[command, fmt]
+
+
+@pytest.mark.parametrize("command", ["score", "corpus", "distsim", "maege gen", "maege score"])
+def test_no_report_depends_on_the_hash_seed(command, fig1_files, edit_corpus, tmp_path):
+    """Scoring iterates over sets of strings, whose order follows the string
+    hash; each command, run as ``python -m semfaith.cli`` under two
+    ``PYTHONHASHSEED`` values, writes the same bytes to stdout (``maege
+    gen``, which needs ``--out``, to its manifest)."""
+    rng = random.Random(11)
+    if command in ("corpus", "distsim"):
+        streams = [write_records(tmp_path / f"{side}.jsonl",
+                                 [graph_to_dict(random_dag(rng, f"p{k}", random_tokens(rng)))
+                                  for k in range(6)])
+                   for side in ("src", "cor")]
+        argv = [command, *streams] + (["--jobs", "2"] if command == "corpus" else [])
+    elif command == "maege score":
+        manifest = tmp_path / "m.json"
+        assert main(["maege", "gen", edit_corpus, "--seed", "7", "--out", str(manifest)]) == 0
+        for v in json.loads(manifest.read_text())["versions"]:
+            write_graph(tmp_path / f"{v['version_id']}.json",
+                        random_dag(rng, v["version_id"], v["tokens"]))
+        argv = ["maege", "score", str(manifest), str(tmp_path)]
+    else:
+        argv = ["score", *fig1_files] if command == "score" else ["maege", "gen", edit_corpus]
+    outs = []
+    for hash_seed in ("0", "1"):
+        manifest = tmp_path / f"manifest-{hash_seed}.json"
+        extra = ["--out", str(manifest)] if command == "maege gen" else []
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), PYTHONHASHSEED=hash_seed)
+        run = subprocess.run([sys.executable, "-m", "semfaith.cli", *argv, *extra], env=env,
+                             capture_output=True, check=True)
+        outs.append(manifest.read_bytes() if extra else run.stdout)
+    assert outs[0] == outs[1] != b""
 
 
 def tsv_guard_argv(case, edit_corpus, tmp_path):

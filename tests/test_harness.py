@@ -117,6 +117,40 @@ def test_order_invariance_exhaustive_random():
             assert apply_edits_in_order(tokens, edits, list(order))[-1] == expected
 
 
+def touching_edits(rng: random.Random, n_tokens: int) -> list[EditOperation]:
+    """Non-overlapping edits, with insertions that touch a replacement on
+    either side and insertions at the end of the sentence."""
+    edits = []
+    pos = 0
+    while pos <= n_tokens:
+        if rng.random() < 0.3:
+            repl = tuple(rng.choice(WORDS) for _ in range(rng.randint(1, 2)))
+            edits.append(EditOperation(pos, pos, repl, rng.choice(EDIT_TYPES)))
+        width = rng.randint(1, 2)
+        if pos + width <= n_tokens and rng.random() < 0.4:
+            repl = tuple(rng.choice(WORDS) for _ in range(rng.randint(0, 2)))
+            edits.append(EditOperation(pos, pos + width, repl, rng.choice(EDIT_TYPES)))
+            pos += width
+        else:
+            pos += 1
+    rng.shuffle(edits)
+    return edits
+
+
+def test_each_version_applies_its_edits_to_the_original():
+    """Version k is the original tokens with the first k edits of the order
+    applied, whatever the order."""
+    rng = random.Random(23)
+    for _ in range(300):
+        n = rng.randint(0, 8)
+        tokens = [rng.choice(WORDS) for _ in range(n)]
+        edits = touching_edits(rng, n)
+        order = rng.sample(range(len(edits)), len(edits))
+        versions = apply_edits_in_order(tokens, edits, order)
+        assert versions == [merge_edits_order_free(tokens, [edits[i] for i in order[:k]])
+                            for k in range(len(order) + 1)]
+
+
 def test_build_chain_deterministic():
     tokens = ["a", "b", "c", "d"]
     edits = [
