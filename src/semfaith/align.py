@@ -229,9 +229,9 @@ def align_leaves_batch(
 
 
 def _assign(cost: list[list[int]]) -> list[tuple[int, int]]:
-    """Minimum-total-cost assignment of the rows of ``cost`` to its columns
-    (or of its columns to its rows, when it has fewer), as (row, column)
-    pairs sorted by row.
+    """Minimum-total-cost assignment of the rows of ``cost``, a matrix of at
+    least one row and one column, to its columns (or of its columns to its
+    rows, when it has fewer), as (row, column) pairs sorted by row.
 
     A port of the rectangular solver in SciPy's ``linear_sum_assignment``,
     Crouse's shortest augmenting path (Crouse 2016, "On implementing 2D
@@ -241,8 +241,6 @@ def _assign(cost: list[list[int]]) -> list[tuple[int, int]]:
     replaced by the last unscanned one, and on equal path cost a free column
     wins.  Integer costs keep every reduced cost exact.
     """
-    if not cost or not cost[0]:
-        return []
     transpose = len(cost[0]) < len(cost)
     if transpose:
         cost = list(zip(*cost))

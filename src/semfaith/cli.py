@@ -21,12 +21,11 @@ from .graph import (
 )
 from .harness import (
     HarnessError,
-    build_chain,
+    build_chains,
     chain_scores,
     emit_manifest,
     load_chain_graphs,
     load_manifest,
-    read_edit_corpus,
     type_deltas,
 )
 from .measures import (
@@ -459,11 +458,7 @@ def cmd_distsim(args: argparse.Namespace) -> int:
 
 
 def cmd_maege_gen(args: argparse.Namespace) -> int:
-    records = read_edit_corpus(args.edit_corpus)
-    chains = [
-        build_chain(sid, tokens, edits, args.seed, pin_source_index=args.pin_source)
-        for sid, tokens, edits in records
-    ]
+    chains = build_chains(args.edit_corpus, args.seed, args.pin_source)
     try:
         emit_manifest(chains, args.out)
     except OSError as exc:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
 from functools import partial
 from operator import itemgetter
 from pathlib import Path
@@ -228,10 +227,6 @@ def edge_instances(g: SemanticGraph, include_remote: bool = True) -> tuple[EdgeI
     return g._instances[include_remote]
 
 
-def label_counts(g: SemanticGraph, include_remote: bool = True) -> Counter[str]:
-    return Counter(inst.label for inst in edge_instances(g, include_remote))
-
-
 # -- interchange format ---------------------------------------------------
 
 
@@ -239,8 +234,6 @@ def _require(obj: dict, key: str, kind: type, where: str):
     if key not in obj:
         raise GraphFormatError(f"{where}: missing field {key!r}")
     value = obj[key]
-    if kind is int and isinstance(value, bool):
-        raise GraphFormatError(f"{where}: field {key!r} must be an integer")
     if not isinstance(value, kind):
         raise GraphFormatError(
             f"{where}: field {key!r} must be {kind.__name__}, got {type(value).__name__}"

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
@@ -23,6 +24,17 @@ from .measures import usim_batch
 
 class HarnessError(ValueError):
     pass
+
+
+@contextmanager
+def _located(where: str):
+    """Raise a ``HarnessError``, ``KeyError`` or ``TypeError`` of the block
+    as a ``HarnessError`` with ``where``, the record it concerns, in front
+    of its message."""
+    try:
+        yield
+    except (HarnessError, KeyError, TypeError) as exc:
+        raise HarnessError(f"{where}: {exc}") from exc
 
 
 class _EditFields(NamedTuple):
@@ -167,19 +179,19 @@ def _edit_from_dict(e) -> EditOperation:
     return EditOperation(start, end, _strings(e["replacement"], "replacement"), edit_type)
 
 
-def _claim_sentence_id(sid, seen: set[str], where: str) -> str:
+def _claim_sentence_id(sid, seen: set[str]) -> str:
     """Check that ``sid`` can name the graph files ``<sid>.v<k>.json``: a
     plain file-name part that no earlier record in ``seen`` uses."""
     if not isinstance(sid, str) or sid in ("", ".", "..") or "/" in sid or "\\" in sid:
-        raise HarnessError(f"{where}: sentence_id {sid!r} is not a plain file-name part")
+        raise HarnessError(f"sentence_id {sid!r} is not a plain file-name part")
     if sid in seen:
-        raise HarnessError(f"{where}: duplicate sentence_id {sid!r}")
+        raise HarnessError(f"duplicate sentence_id {sid!r}")
     seen.add(sid)
     return sid
 
 
 def _check_token_strings(
-    where: str, tokens_name: str, tokens: Sequence[str], edits: Sequence[EditOperation]
+    tokens_name: str, tokens: Sequence[str], edits: Sequence[EditOperation]
 ) -> None:
     """Check that neither ``tokens`` nor an edit's replacement holds an empty
     string, since no graph holds an empty token."""
@@ -187,7 +199,7 @@ def _check_token_strings(
     strings += [(f"edits[{k}].replacement", e.replacement) for k, e in enumerate(edits)]
     for what, texts in strings:
         if "" in texts:
-            raise HarnessError(f"{where}: {what}[{texts.index('')}] is an empty string")
+            raise HarnessError(f"{what}[{texts.index('')}] is an empty string")
 
 
 def read_edit_corpus(path: str | Path) -> list[tuple[str, list[str], list[EditOperation]]]:
@@ -195,27 +207,48 @@ def read_edit_corpus(path: str | Path) -> list[tuple[str, list[str], list[EditOp
     a JSON Lines file (see ``graph.read_json_lines``).  No token or
     replacement token may be empty, since no graph holds one, and the graph
     file name of a record's last version must fit in ``_MAX_NAME_BYTES``."""
+    return [record for _, record in _located_edit_records(path)]
+
+
+def _located_edit_records(path: str | Path) -> list[tuple[str, tuple]]:
+    """The records of ``read_edit_corpus``, each after where it is,
+    ``<path> line <N>``, which an error in the record names."""
     out = []
     seen: set[str] = set()
     for where, line in read_json_lines(path, HarnessError):
         doc = parse_json(line, HarnessError, where)
-        try:
-            sid = doc["sentence_id"]
-            tokens = list(_strings(doc["tokens"], "tokens"))
-            edits = [_edit_from_dict(e) for e in doc["edits"]]
-        except (KeyError, TypeError) as exc:
-            raise HarnessError(f"{where}: bad record: {exc}") from exc
-        _claim_sentence_id(sid, seen, where)
-        _check_token_strings(where, "tokens", tokens, edits)
-        size = len(graph_file_name(sid, len(edits)).encode("utf-8"))
-        if size > _MAX_NAME_BYTES:
-            raise HarnessError(
-                f"{where}: sentence_id {sid!r} is too long: its graph file name "
-                f"{graph_file_name('<sentence_id>', len(edits))} takes {size} bytes, "
-                f"over {_MAX_NAME_BYTES}"
-            )
-        out.append((sid, tokens, edits))
+        with _located(where):
+            try:
+                sid = doc["sentence_id"]
+                tokens = list(_strings(doc["tokens"], "tokens"))
+                edits = [_edit_from_dict(e) for e in doc["edits"]]
+            except (KeyError, TypeError) as exc:
+                raise HarnessError(f"bad record: {exc}") from exc
+            _claim_sentence_id(sid, seen)
+            _check_token_strings("tokens", tokens, edits)
+            size = len(graph_file_name(sid, len(edits)).encode("utf-8"))
+            if size > _MAX_NAME_BYTES:
+                raise HarnessError(
+                    f"sentence_id {sid!r} is too long: its graph file name "
+                    f"{graph_file_name('<sentence_id>', len(edits))} takes {size} bytes, "
+                    f"over {_MAX_NAME_BYTES}"
+                )
+        out.append((where, (sid, tokens, edits)))
     return out
+
+
+def build_chains(
+    path: str | Path, seed: int, pin_source_index: int | None = None
+) -> list[VersionChain]:
+    """The ``build_chain`` chain of every record of the edit corpus at
+    ``path`` (see ``read_edit_corpus``), in line order.  Every record is
+    read before the first chain is built, and an error names the line of
+    its record."""
+    chains = []
+    for where, record in _located_edit_records(path):
+        with _located(where):
+            chains.append(build_chain(*record, seed, pin_source_index))
+    return chains
 
 
 def manifest_to_dict(chains: Sequence[VersionChain]) -> dict:
@@ -247,30 +280,36 @@ def manifest_to_dict(chains: Sequence[VersionChain]) -> dict:
 
 
 def chains_from_manifest(doc: dict) -> list[VersionChain]:
+    """The chains of a manifest document.  An error in a version or a chain
+    names it by its ``version_id`` or its ``sentence_id``, once that is
+    read."""
     seen: set[str] = set()
-    try:
-        tokens_by_vid: dict[str, tuple[str, ...]] = {}
+    tokens_by_vid: dict[str, tuple[str, ...]] = {}
+    chains = []
+    with _located("bad manifest"):
         for v in doc["versions"]:
-            vid, tokens = v["version_id"], _strings(v["tokens"], "tokens")
+            vid = v["version_id"]
+            with _located(f"version {vid!r}"):
+                tokens = _strings(v["tokens"], "tokens")
             if vid in tokens_by_vid:
-                raise HarnessError(f"bad manifest: versions repeat version_id {vid!r}")
+                raise HarnessError(f"versions repeat version_id {vid!r}")
             tokens_by_vid[vid] = tokens
-        chains = []
         for c in doc["chains"]:
-            sid = _claim_sentence_id(c["sentence_id"], seen, "bad manifest")
-            versions = tuple(tokens_by_vid[vid] for vid in c["version_ids"])
-            for k, vid in enumerate(c["version_ids"]):
-                if vid != version_id(sid, k):  # maege score reads <version_id(sid, k)>.json
-                    raise HarnessError(f"bad manifest: chain {sid!r}: version_ids[{k}] "
-                                       f"is {vid!r}, not {version_id(sid, k)!r}")
-            edits = tuple(_edit_from_dict(e) for e in c["edits"])
-            order, source_index = c["order"], c["source_index"]
-            _check_replay(sid, versions, edits, order, source_index)
-            chains.append(
-                VersionChain(sid, c["seed"], tuple(order), versions, source_index, edits)
-            )
-    except (KeyError, TypeError) as exc:
-        raise HarnessError(f"bad manifest: {exc}") from exc
+            sid = _claim_sentence_id(c["sentence_id"], seen)
+            with _located(f"chain {sid!r}"):
+                for k, vid in enumerate(c["version_ids"]):
+                    if vid != version_id(sid, k):  # maege score reads <version_id(sid, k)>.json
+                        raise HarnessError(
+                            f"version_ids[{k}] is {vid!r}, not {version_id(sid, k)!r}")
+                    if vid not in tokens_by_vid:
+                        raise HarnessError(f"no version has version_id {vid!r}")
+                versions = tuple(tokens_by_vid[vid] for vid in c["version_ids"])
+                edits = tuple(_edit_from_dict(e) for e in c["edits"])
+                order, source_index = c["order"], c["source_index"]
+                _check_replay(sid, versions, edits, order, source_index)
+                chains.append(
+                    VersionChain(sid, c["seed"], tuple(order), versions, source_index, edits)
+                )
     return chains
 
 
@@ -286,18 +325,17 @@ def _check_replay(
     to the first version gives every version, ``source_index`` names one of
     them, and neither the first version nor an edit's replacement holds an
     empty token string."""
-    where = f"bad manifest: chain {sid!r}"
     if (
         not isinstance(order, list)
         or not all(_is_int(k) for k in order)
         or sorted(order) != list(range(len(edits)))
     ):
-        raise HarnessError(f"{where}: order {order!r} is not a permutation of the edit indices")
+        raise HarnessError(f"order {order!r} is not a permutation of the edit indices")
     if not versions or tuple(apply_edits_in_order(versions[0], edits, order)) != versions:
-        raise HarnessError(f"{where}: versions do not replay from the edits in order")
+        raise HarnessError("versions do not replay from the edits in order")
     if not _is_int(source_index) or not 0 <= source_index < len(versions):
-        raise HarnessError(f"{where}: source_index {source_index!r} is not a version index")
-    _check_token_strings(where, f"version {version_id(sid, 0)!r} tokens", versions[0], edits)
+        raise HarnessError(f"source_index {source_index!r} is not a version index")
+    _check_token_strings(f"version {version_id(sid, 0)!r} tokens", versions[0], edits)
 
 
 def emit_manifest(chains: Sequence[VersionChain], path: str | Path) -> None:

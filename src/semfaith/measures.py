@@ -5,11 +5,12 @@ to the report layer.
 """
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .align import C_TO_S, S_TO_C, align_leaves_batch, extend_alignment
-from .graph import EdgeInstance, SemanticGraph, edge_instances, label_counts
+from .graph import EdgeInstance, SemanticGraph, edge_instances
 
 
 class TokenMismatchError(ValueError):
@@ -63,13 +64,12 @@ def dag_fscore(
         raise TokenMismatchError(
             f"graphs {g1.id!r} and {g2.id!r} do not share their token list"
         )
-    inst1 = edge_instances(g1, include_remote)
-    inst2 = edge_instances(g2, include_remote)
-    keys1 = {(inst.label, g1._yields[inst.child]) for inst in inst1}
-    keys2 = {(inst.label, g2._yields[inst.child]) for inst in inst2}
-    matched1 = sum(1 for inst in inst1 if (inst.label, g1._yields[inst.child]) in keys2)
-    matched2 = sum(1 for inst in inst2 if (inst.label, g2._yields[inst.child]) in keys1)
-    return _triple(matched1, len(inst1), matched2, len(inst2))
+    keys1, keys2 = (
+        [(inst.label, g._yields[inst.child]) for inst in edge_instances(g, include_remote)]
+        for g in (g1, g2))
+    found1, found2 = set(keys1), set(keys2)
+    return _triple(sum(key in found2 for key in keys1), len(keys1),
+                   sum(key in found1 for key in keys2), len(keys2))
 
 
 def match_edges(
@@ -172,42 +172,25 @@ DEFAULT_GROUPS: tuple[tuple[str, frozenset[str]], ...] = (
 )
 
 
-def default_groups(
-    pairs: Sequence[tuple[SemanticGraph, SemanticGraph]],
-    include_remote: bool = True,
-) -> list[tuple[str, frozenset[str]]]:
-    """The two category groups reported for UCCA plus one singleton group per
-    label observed anywhere in the corpus."""
-    observed: set[str] = set()
-    for g_s, g_c in pairs:
-        observed.update(label_counts(g_s, include_remote))
-        observed.update(label_counts(g_c, include_remote))
-    groups = list(DEFAULT_GROUPS)
-    groups.extend((label, frozenset({label})) for label in sorted(observed))
-    return groups
-
-
 def distsim(
     pairs: Sequence[tuple[SemanticGraph, SemanticGraph]],
     groups: Sequence[tuple[str, frozenset[str]]] | None = None,
     include_remote: bool = True,
 ) -> list[LabelDistSim]:
-    """Mean absolute per-pair difference of labeled edge counts, per group."""
+    """Mean absolute per-pair difference of labeled edge counts, per group.
+    The default groups are ``DEFAULT_GROUPS`` and then one singleton group
+    for each label that a counted edge instance carries anywhere in
+    ``pairs``, in sorted order."""
     if not pairs:
         raise ValueError("distsim requires at least one sentence pair")
+    counts = [[Counter(inst.label for inst in edge_instances(g, include_remote)) for g in pair]
+              for pair in pairs]
     if groups is None:
-        groups = default_groups(pairs, include_remote)
-    counts = [
-        (label_counts(g_s, include_remote), label_counts(g_c, include_remote))
-        for g_s, g_c in pairs
-    ]
+        observed = sorted({label for pair in counts for c in pair for label in c})
+        groups = [*DEFAULT_GROUPS, *((label, frozenset({label})) for label in observed)]
     out = []
     for name, labels in groups:
-        total = 0
-        for c_counts, d_counts in counts:
-            c = sum(c_counts.get(label, 0) for label in labels)
-            d = sum(d_counts.get(label, 0) for label in labels)
-            total += abs(c - d)
+        total = sum(abs(sum(c[label] - d[label] for label in labels)) for c, d in counts)
         value = Fraction(total, len(pairs))
         out.append(LabelDistSim(name, labels, value, 1 / (1 + value)))
     return out

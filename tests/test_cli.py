@@ -506,6 +506,25 @@ def test_distsim_default_groups_present_when_zero(tmp_path, capsys):
     assert names == ["A+D", "Scene", "E"]
 
 
+@pytest.mark.parametrize("flags, rows", [
+    ([], ["A+D\tA,D\t0.0000\t1.0000", "Scene\tH\t0.0000\t1.0000",
+          "A\tA\t0.0000\t1.0000", "H\tH\t0.0000\t1.0000",
+          "L\tL\t1.0000\t0.5000", "P\tP\t0.0000\t1.0000"]),
+    (["--no-remote"], ["A+D\tA,D\t0.0000\t1.0000", "Scene\tH\t0.0000\t1.0000",
+                       "A\tA\t0.0000\t1.0000", "H\tH\t0.0000\t1.0000",
+                       "P\tP\t0.0000\t1.0000"]),
+])
+def test_distsim_remote_only_label_row(flags, rows, tmp_path, capsys):
+    """A label that only a remote edge carries gets its own default row,
+    and no row when ``--no-remote`` leaves remote edges out."""
+    nested = ("r", [("H", ("s", [("A", 0), ("P", 1)]))])
+    g_s = graph_from_nested("x", ["a", "b"], nested, [("r", "w0", {"L"}, True)])
+    g_c = graph_from_nested("x", ["a", "b"], nested)
+    src, cor = corpus_dirs(tmp_path, [("x", g_s, g_c)])
+    assert main(["distsim", src, cor, *flags]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == rows
+
+
 def test_distsim_empty_groups_path_exits_3(tmp_path, capsys):
     """An empty ``--groups`` path is read like any other, so it fails as an
     unreadable file instead of falling back to the default groups."""
@@ -912,7 +931,7 @@ def test_maege_score_non_utf8_manifest(tmp_path, capsys):
 # -- flag values and bad harness input ----------------------------------------
 
 
-@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("value", ["0", "-3", "x"])
 def test_corpus_rejects_jobs_below_one(fig1_files, value, capsys):
     src, cor = fig1_files
     with pytest.raises(SystemExit) as exc:
@@ -921,7 +940,7 @@ def test_corpus_rejects_jobs_below_one(fig1_files, value, capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["-5", "nan"])
+@pytest.mark.parametrize("value", ["-5", "nan", "abc"])
 def test_rejects_negative_or_nan_max_norm_dist(fig1_files, value, capsys):
     src, cor = fig1_files
     with pytest.raises(SystemExit) as exc:
@@ -929,6 +948,25 @@ def test_rejects_negative_or_nan_max_norm_dist(fig1_files, value, capsys):
     assert exc.value.code == 2
     assert "--max-norm-dist" in capsys.readouterr().err
     assert main(["score", src, cor, "--max-norm-dist", "1.5"]) == 0
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], "document must be an object, got list"),
+    ({"id": "g", "tokens": ["a", 1], "nodes": [], "edges": [], "root": "r"},
+     "graph 'g': tokens[1] must be a string"),
+], ids=["not an object", "token not a string"])
+def test_graph_document_fault_names_its_file_or_line(doc, message, tmp_path, capsys):
+    """``score`` names the file of a faulty document, and ``corpus`` the
+    ``.jsonl`` line, here line 2 after a sound graph."""
+    path = tmp_path / "notobj.json"
+    path.write_text(json.dumps(doc))
+    sound = write_graph(tmp_path / "sound.json", fig1_source())
+    assert main(["score", str(path), sound]) == 3
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    stream = tmp_path / "corpus.jsonl"
+    stream.write_text(json.dumps(graph_to_dict(fig1_source())) + "\n" + json.dumps(doc) + "\n")
+    assert main(["corpus", str(stream), str(stream)]) == 3
+    assert capsys.readouterr().err == f"error: {stream} line 2: {message}\n"
 
 
 def write_records(path, records):
@@ -1295,6 +1333,59 @@ def test_maege_score_validation_error_names_the_graph_file(edit_corpus, tmp_path
         "undeclared node 'ghost'\n")
 
 
+def _edit(start, end):
+    return {"start": start, "end": end, "replacement": ["x"], "type": "Mec"}
+
+
+@pytest.mark.parametrize("edits, flags, message", [
+    ([_edit(2, 1)], [], "invalid edit span (2, 1)"),
+    ([_edit(1, 5)], [], "edit span (1, 5) out of bounds"),
+    ([_edit(1, 3), _edit(2, 4)], [], "overlapping edit spans (1,3) and (2,4)"),
+    ([_edit(0, 1), _edit(1, 2)], ["--pin-source", "3"], "pinned source index 3 out of range"),
+], ids=["invalid", "out of bounds", "overlap", "pin"])
+def test_maege_gen_span_and_pin_errors_name_the_line(edits, flags, message, tmp_path, capsys):
+    """Line 1 is blank and the record on line 2 is sound, also under the
+    pin; the faulty record is on line 3, and the message names that line."""
+    path = tmp_path / "edits.jsonl"
+    sound = {"sentence_id": "s1", "tokens": list("abcd"),
+             "edits": [_edit(0, 1), _edit(1, 2), _edit(2, 3)]}
+    faulty = {"sentence_id": "s2", "tokens": list("abcd"), "edits": edits}
+    path.write_text("\n" + "".join(json.dumps(r) + "\n" for r in (sound, faulty)))
+    out = tmp_path / "m.json"
+    assert main(["maege", "gen", str(path), *flags, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {path} line 3: {message}\n"
+    assert not out.exists()
+
+
+def _drop_version(doc, vid):
+    doc["versions"] = [v for v in doc["versions"] if v["version_id"] != vid]
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda doc: doc["chains"][1]["edits"][0].update(start=2, end=1),
+     "chain 's2': invalid edit span (2, 1)"),
+    (lambda doc: doc["chains"][0]["edits"][1].update(start=1, end=3),
+     "chain 's1': overlapping edit spans (1,2) and (1,3)"),
+    (lambda doc: doc["chains"][1].pop("order"), "chain 's2': 'order'"),
+    (lambda doc: _drop_version(doc, "s2.v1"), "chain 's2': no version has version_id 's2.v1'"),
+    (lambda doc: doc["chains"][1]["edits"][0].update(start="0"),
+     "chain 's2': edit start and end must be integers, not '0' and 1"),
+    (lambda doc: doc["versions"][-1].update(tokens=["b", 1]),
+     "version 's2.v1': tokens must be a list of strings"),
+], ids=["invalid", "overlap", "order", "version", "start", "tokens"])
+def test_maege_score_manifest_errors_name_the_chain_or_version(change, message, edit_corpus,
+                                                               tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    assert main(["maege", "gen", edit_corpus, "--seed", "7", "--out", str(manifest)]) == 0
+    doc = json.loads(manifest.read_text())
+    change(doc)
+    manifest.write_text(json.dumps(doc))
+    graphs = tmp_path / "graphs"
+    graphs.mkdir()
+    assert main(["maege", "score", str(manifest), str(graphs)]) == 3
+    assert capsys.readouterr().err == f"error: bad manifest: {message}\n"
+
+
 def test_scoring_commands_load_no_numeric_modules(fig1_files, edit_corpus, tmp_path):
     """Token alignment is pure Python: scoring imports neither numpy nor scipy."""
     src, cor = fig1_files
@@ -1435,6 +1526,17 @@ def test_usable_cpus_bounded_by_cgroup_quota(tmp_path, monkeypatch, files, cpus)
     monkeypatch.setattr(cli, "_CGROUP", tmp_path)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     assert cli._usable_cpus() == cpus
+
+
+def test_usable_cpus_without_affinity_counts_the_cpus(tmp_path, monkeypatch):
+    """Where ``os.sched_getaffinity`` is missing, the CPU count stands in
+    for the affinity count, and one CPU for an unknown count."""
+    monkeypatch.setattr(cli, "_CGROUP", tmp_path)  # no quota file
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert cli._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._usable_cpus() == 1
 
 
 def _remove_graph(graphs, vid):

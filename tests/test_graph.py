@@ -152,6 +152,11 @@ def test_yield_of_unknown_node():
         yield_of(fig1_source(), "nope")
 
 
+def test_children_of_unknown_node():
+    with pytest.raises(KeyError, match="graph 'fig1': unknown node 'nope'"):
+        fig1_source().children_of("nope")
+
+
 def test_implicit_unit_has_empty_yield():
     g = make_graph(
         "g", ["a"],

@@ -75,6 +75,13 @@ def test_edit_invalid_span():
         EditOperation(3, 2, (), "Nn")
 
 
+def test_edit_replace_checks_the_span():
+    edit = EditOperation(1, 2, ("x",), "Mec")
+    assert edit._replace(start=0) == EditOperation(0, 2, ("x",), "Mec")
+    with pytest.raises(HarnessError, match=r"^invalid edit span \(3, 2\)$"):
+        edit._replace(start=3)
+
+
 def test_build_chain_zero_edits():
     chain = build_chain("s1", ["a", "b"], [], seed=5)
     assert len(chain.versions) == 1

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fig1 import fig1_correction, fig1_source
 from helpers_build import (
@@ -11,6 +13,8 @@ from helpers_build import (
     graph_from_nested,
     make_graph,
     parseval_fscore,
+    random_dag,
+    random_tokens,
     random_tree_graph,
     random_valid_graph,
 )
@@ -28,6 +32,7 @@ from semfaith import (
     usim_from_alignment,
     yield_of,
 )
+from semfaith.measures import DEFAULT_GROUPS
 
 
 def brute_dag_counts(g1, g2):
@@ -333,6 +338,26 @@ def test_distsim_reorder_invariant():
     assert {(r.name, r.value) for r in forward} == {
         (r.name, r.value) for r in backward
     }
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_distsim_default_groups_are_the_counted_labels(seed, include_remote):
+    """The default groups are ``DEFAULT_GROUPS`` and then one singleton
+    group for each label that the counted edge instances carry, in sorted
+    order, so a label that only remote edges carry has no group when remote
+    edges are left out."""
+    rng = random.Random(seed)
+    pairs = [
+        tuple(add_random_remotes(rng, random_dag(rng, f"p{k}", random_tokens(rng)), 3)
+              for _ in range(2))
+        for k in range(rng.randint(1, 3))
+    ]
+    labels = sorted({inst.label for pair in pairs for g in pair
+                     for inst in edge_instances(g, include_remote)})
+    groups = [*DEFAULT_GROUPS, *((label, frozenset({label})) for label in labels)]
+    assert distsim(pairs, include_remote=include_remote) == distsim(
+        pairs, groups=groups, include_remote=include_remote)
 
 
 def test_distsim_empty_pairs_rejected():
