@@ -570,5 +570,24 @@ def main(argv: list[str] | None = None) -> int:
         return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
+def run() -> None:
+    """The process entry of the ``semfaith`` command: ``main()``, then, once
+    standard output and standard error are flushed, ``os._exit`` with its
+    exit code, which skips interpreter teardown.  Nothing is lost by that:
+    the package registers no exit handler and every file it opens is closed
+    before ``main`` returns.  A flush that fails leaves through ``sys.exit``
+    instead, whose teardown reports the failure as it would without this
+    function.  An exception, or argparse's ``SystemExit``, leaves ``main``
+    as usual."""
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the descriptor was closed at startup
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

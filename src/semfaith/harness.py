@@ -28,12 +28,11 @@ class HarnessError(ValueError):
 
 @contextmanager
 def _located(where: str):
-    """Raise a ``HarnessError``, ``KeyError`` or ``TypeError`` of the block
-    as a ``HarnessError`` with ``where``, the record it concerns, in front
-    of its message."""
+    """Raise a ``HarnessError`` of the block again with ``where``, the record
+    it concerns, in front of its message."""
     try:
         yield
-    except (HarnessError, KeyError, TypeError) as exc:
+    except HarnessError as exc:
         raise HarnessError(f"{where}: {exc}") from exc
 
 
@@ -160,9 +159,39 @@ _MAX_NAME_BYTES = 255
 # -- edit corpus and manifest I/O -----------------------------------------
 
 
+_KIND_NAMES = {list: "a list", str: "a string"}
+
+
+def _object(value, what: str) -> dict:
+    """``value``, which must be a JSON object; ``what`` names it."""
+    if not isinstance(value, dict):
+        raise HarnessError(f"{what} must be an object, got {type(value).__name__}")
+    return value
+
+
+def _field(record: dict, key: str, kind: type = object):
+    """``record[key]``, which must be there and, unless ``kind`` is
+    ``object``, be a ``kind``."""
+    if key not in record:
+        raise HarnessError(f"missing field {key!r}")
+    value = record[key]
+    if not isinstance(value, kind):
+        raise HarnessError(
+            f"field {key!r} must be {_KIND_NAMES[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _records(record: dict, key: str):
+    """``(name, item)`` for each item of the list ``record[key]``, which must
+    each be an object, named ``<key>[<index>]``."""
+    for k, item in enumerate(_field(record, key, list)):
+        name = f"{key}[{k}]"
+        yield name, _object(item, name)
+
+
 def _strings(value, what: str) -> tuple[str, ...]:
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-        raise TypeError(f"{what} must be a list of strings")
+        raise HarnessError(f"{what} must be a list of strings")
     return tuple(value)
 
 
@@ -170,13 +199,22 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _edit_from_dict(e) -> EditOperation:
-    start, end, edit_type = e["start"], e["end"], e["type"]
-    if not (_is_int(start) and _is_int(end)):
-        raise TypeError(f"edit start and end must be integers, not {start!r} and {end!r}")
-    if not isinstance(edit_type, str):
-        raise TypeError(f"edit type must be a string, not {edit_type!r}")
-    return EditOperation(start, end, _strings(e["replacement"], "replacement"), edit_type)
+def _edit_fields(record: dict) -> list[tuple]:
+    """The ``EditOperation`` fields of each edit of the list
+    ``record["edits"]``, type-checked.  A missing field names its edit,
+    ``edits[<index>]``."""
+    edits = []
+    for name, e in _records(record, "edits"):
+        with _located(name):
+            start, end, edit_type, replacement = (
+                _field(e, key) for key in ("start", "end", "type", "replacement"))
+        if not (_is_int(start) and _is_int(end)):
+            raise HarnessError(
+                f"edit start and end must be integers, not {start!r} and {end!r}")
+        if not isinstance(edit_type, str):
+            raise HarnessError(f"edit type must be a string, not {edit_type!r}")
+        edits.append((start, end, _strings(replacement, "replacement"), edit_type))
+    return edits
 
 
 def _claim_sentence_id(sid, seen: set[str]) -> str:
@@ -218,12 +256,12 @@ def _located_edit_records(path: str | Path) -> list[tuple[str, tuple]]:
     for where, line in read_json_lines(path, HarnessError):
         doc = parse_json(line, HarnessError, where)
         with _located(where):
-            try:
-                sid = doc["sentence_id"]
-                tokens = list(_strings(doc["tokens"], "tokens"))
-                edits = [_edit_from_dict(e) for e in doc["edits"]]
-            except (KeyError, TypeError) as exc:
-                raise HarnessError(f"bad record: {exc}") from exc
+            with _located("bad record"):
+                record = _object(doc, "document")
+                sid = _field(record, "sentence_id")
+                tokens = list(_strings(_field(record, "tokens"), "tokens"))
+                fields = _edit_fields(record)
+            edits = [EditOperation(*f) for f in fields]
             _claim_sentence_id(sid, seen)
             _check_token_strings("tokens", tokens, edits)
             size = len(graph_file_name(sid, len(edits)).encode("utf-8"))
@@ -281,35 +319,39 @@ def manifest_to_dict(chains: Sequence[VersionChain]) -> dict:
 
 def chains_from_manifest(doc: dict) -> list[VersionChain]:
     """The chains of a manifest document.  An error in a version or a chain
-    names it by its ``version_id`` or its ``sentence_id``, once that is
-    read."""
+    names it by its ``version_id`` or its ``sentence_id`` once that is read,
+    and by its index (``versions[0]``, ``chains[0]``) before."""
     seen: set[str] = set()
     tokens_by_vid: dict[str, tuple[str, ...]] = {}
     chains = []
     with _located("bad manifest"):
-        for v in doc["versions"]:
-            vid = v["version_id"]
+        doc = _object(doc, "document")
+        for name, v in _records(doc, "versions"):
+            with _located(name):
+                vid = _field(v, "version_id", str)
             with _located(f"version {vid!r}"):
-                tokens = _strings(v["tokens"], "tokens")
+                tokens = _strings(_field(v, "tokens"), "tokens")
             if vid in tokens_by_vid:
                 raise HarnessError(f"versions repeat version_id {vid!r}")
             tokens_by_vid[vid] = tokens
-        for c in doc["chains"]:
-            sid = _claim_sentence_id(c["sentence_id"], seen)
+        for name, c in _records(doc, "chains"):
+            with _located(name):
+                sid = _field(c, "sentence_id")
+            sid = _claim_sentence_id(sid, seen)
             with _located(f"chain {sid!r}"):
-                for k, vid in enumerate(c["version_ids"]):
+                vids = _field(c, "version_ids", list)
+                for k, vid in enumerate(vids):
                     if vid != version_id(sid, k):  # maege score reads <version_id(sid, k)>.json
                         raise HarnessError(
                             f"version_ids[{k}] is {vid!r}, not {version_id(sid, k)!r}")
                     if vid not in tokens_by_vid:
                         raise HarnessError(f"no version has version_id {vid!r}")
-                versions = tuple(tokens_by_vid[vid] for vid in c["version_ids"])
-                edits = tuple(_edit_from_dict(e) for e in c["edits"])
-                order, source_index = c["order"], c["source_index"]
-                _check_replay(sid, versions, edits, order, source_index)
-                chains.append(
-                    VersionChain(sid, c["seed"], tuple(order), versions, source_index, edits)
-                )
+                versions = tuple(tokens_by_vid[vid] for vid in vids)
+                edits = tuple(EditOperation(*f) for f in _edit_fields(c))
+                order, source_index, seed = (
+                    _field(c, key) for key in ("order", "source_index", "seed"))
+                _check_replay(sid, versions, edits, order, source_index, seed)
+                chains.append(VersionChain(sid, seed, tuple(order), versions, source_index, edits))
     return chains
 
 
@@ -319,12 +361,13 @@ def _check_replay(
     edits: tuple[EditOperation, ...],
     order,
     source_index,
+    seed,
 ) -> None:
     """Check that a manifest chain is what ``maege gen`` would record:
     ``order`` permutes the edit indices, applying the edits in that order
     to the first version gives every version, ``source_index`` names one of
-    them, and neither the first version nor an edit's replacement holds an
-    empty token string."""
+    them, ``seed`` is an integer, and neither the first version nor an
+    edit's replacement holds an empty token string."""
     if (
         not isinstance(order, list)
         or not all(_is_int(k) for k in order)
@@ -335,6 +378,8 @@ def _check_replay(
         raise HarnessError("versions do not replay from the edits in order")
     if not _is_int(source_index) or not 0 <= source_index < len(versions):
         raise HarnessError(f"source_index {source_index!r} is not a version index")
+    if not _is_int(seed):
+        raise HarnessError(f"seed {seed!r} is not an integer")
     _check_token_strings(f"version {version_id(sid, 0)!r} tokens", versions[0], edits)
 
 

@@ -1366,13 +1366,30 @@ def _drop_version(doc, vid):
      "chain 's2': invalid edit span (2, 1)"),
     (lambda doc: doc["chains"][0]["edits"][1].update(start=1, end=3),
      "chain 's1': overlapping edit spans (1,2) and (1,3)"),
-    (lambda doc: doc["chains"][1].pop("order"), "chain 's2': 'order'"),
+    (lambda doc: doc["chains"][1].pop("order"), "chain 's2': missing field 'order'"),
     (lambda doc: _drop_version(doc, "s2.v1"), "chain 's2': no version has version_id 's2.v1'"),
     (lambda doc: doc["chains"][1]["edits"][0].update(start="0"),
      "chain 's2': edit start and end must be integers, not '0' and 1"),
     (lambda doc: doc["versions"][-1].update(tokens=["b", 1]),
      "version 's2.v1': tokens must be a list of strings"),
-], ids=["invalid", "overlap", "order", "version", "start", "tokens"])
+    (lambda doc: doc["versions"].insert(0, "s1.v0"), "versions[0] must be an object, got str"),
+    (lambda doc: doc["versions"][0].update(version_id=5),
+     "versions[0]: field 'version_id' must be a string, got int"),
+    (lambda doc: doc["versions"][0].pop("tokens"), "version 's1.v0': missing field 'tokens'"),
+    (lambda doc: doc.pop("chains"), "missing field 'chains'"),
+    (lambda doc: doc["chains"][0].pop("sentence_id"), "chains[0]: missing field 'sentence_id'"),
+    (lambda doc: doc["chains"][0].update(version_ids=5),
+     "chain 's1': field 'version_ids' must be a list, got int"),
+    (lambda doc: doc["chains"][0].update(edits={}),
+     "chain 's1': field 'edits' must be a list, got dict"),
+    (lambda doc: doc["chains"][1]["edits"][0].pop("replacement"),
+     "chain 's2': edits[0]: missing field 'replacement'"),
+    (lambda doc: doc["chains"][1].update(seed="abc"), "chain 's2': seed 'abc' is not an integer"),
+    (lambda doc: doc["chains"][1].update(seed=True), "chain 's2': seed True is not an integer"),
+    (lambda doc: doc["chains"][1].pop("seed"), "chain 's2': missing field 'seed'"),
+], ids=["invalid", "overlap", "order", "version", "start", "tokens", "version object",
+        "version id", "version tokens", "chains", "sentence id", "version ids", "edits",
+        "replacement", "seed", "bool seed", "no seed"])
 def test_maege_score_manifest_errors_name_the_chain_or_version(change, message, edit_corpus,
                                                                tmp_path, capsys):
     manifest = tmp_path / "m.json"
@@ -1384,6 +1401,30 @@ def test_maege_score_manifest_errors_name_the_chain_or_version(change, message, 
     graphs.mkdir()
     assert main(["maege", "score", str(manifest), str(graphs)]) == 3
     assert capsys.readouterr().err == f"error: bad manifest: {message}\n"
+
+
+def test_maege_score_rejects_manifest_that_is_not_an_object(tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    manifest.write_text("[]")
+    assert main(["maege", "score", str(manifest), str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        "error: bad manifest: document must be an object, got list\n")
+
+
+@pytest.mark.parametrize("record, message", [
+    (["s1"], "document must be an object, got list"),
+    ({"sentence_id": "s1", "edits": []}, "missing field 'tokens'"),
+    ({"sentence_id": "s1", "tokens": ["a"], "edits": 3}, "field 'edits' must be a list, got int"),
+    ({"sentence_id": "s1", "tokens": ["a"], "edits": [[0, 1, ["b"], "Mec"]]},
+     "edits[0] must be an object, got list"),
+    ({"sentence_id": "s1", "tokens": ["a"], "edits": [{"start": 0, "end": 1, "type": "Mec"}]},
+     "edits[0]: missing field 'replacement'"),
+], ids=["record", "tokens", "edits", "edit", "replacement"])
+def test_maege_gen_names_the_record_and_field_of_a_malformed_record(record, message, tmp_path,
+                                                                    capsys):
+    edits = write_records(tmp_path / "edits.jsonl", [record])
+    assert main(["maege", "gen", edits, "--out", str(tmp_path / "m.json")]) == 3
+    assert capsys.readouterr().err == f"error: {edits} line 1: bad record: {message}\n"
 
 
 def test_scoring_commands_load_no_numeric_modules(fig1_files, edit_corpus, tmp_path):
@@ -1644,3 +1685,125 @@ def test_failed_fork_scores_in_process(tmp_path, monkeypatch, call, failure):
         assert (tmp_path / "out").read_bytes() == want
         if before is not None:
             assert len(list(fds.iterdir())) == before
+
+
+# -- the process entry ---------------------------------------------------------
+
+
+def cli_process(argv, stdout=subprocess.PIPE, **env):
+    """``python -m semfaith.cli argv`` run to its end, its standard error
+    (and standard output, unless ``stdout`` is given) captured.  The
+    child's environment is this one's, without ``PYTHONUNBUFFERED`` unless
+    ``env`` sets it."""
+    environ = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    environ.update(env, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-m", "semfaith.cli", *argv], env=environ,
+                          stdout=stdout, stderr=subprocess.PIPE)
+
+
+def exit_path_argv(case, fig1_files, tmp_path):
+    """The argv of a command that ends on the exit path ``case``, and the
+    start of its standard error."""
+    src, cor = fig1_files
+    if case == "score":
+        return ["score", src, cor], ""
+    if case == "bad flag":
+        return ["score", src, cor, "--bogus"], "usage: semfaith"
+    if case == "out in missing directory":
+        return ["score", src, cor, "--out", str(tmp_path / "nodir" / "r.tsv")], "usage: semfaith"
+    bad = tmp_path / "bad.json"
+    if case == "malformed":
+        bad.write_text("{")
+        return ["score", str(bad), cor], f"error: {bad}: document: invalid JSON: "
+    if case == "validation":
+        bad.write_text(json.dumps(ghost_edge_graph("b")))
+        return ["score", str(bad), cor], f"error: {bad}: graph 'b': edge 'r'->'ghost'"
+    src_dir, cor_dir = corpus_dirs(tmp_path, [("a", fig1_source("a"), None),
+                                              ("b", None, fig1_source("b"))])
+    return ["corpus", src_dir, cor_dir], "warning: id 'a' present only in source corpus\n"
+
+
+@pytest.mark.parametrize("case, code", [
+    ("score", 0), ("bad flag", 2), ("out in missing directory", 2), ("malformed", 3),
+    ("validation", 4), ("unpaired", 5),
+])
+def test_process_ends_with_the_code_and_output_of_main(case, code, fig1_files, tmp_path,
+                                                       capsys):
+    """Run as ``python -m semfaith.cli``, each exit path ends with its exit
+    code and exactly the standard output and error of ``main`` in process,
+    argparse's exit included."""
+    argv, err_start = exit_path_argv(case, fig1_files, tmp_path)
+    capsys.readouterr()
+    try:
+        returned = main(argv)
+    except SystemExit as exc:
+        returned = exc.code
+    out, err = capsys.readouterr()
+    run = cli_process(argv)
+    assert (run.returncode, run.stdout.decode(), run.stderr.decode()) == (returned, out, err)
+    assert returned == code
+    assert err.startswith(err_start) and (code == 0) == (err == "")
+    assert (code == 0) == (out != "")
+
+
+@pytest.mark.parametrize("command", ["corpus", "maege score"])
+def test_piped_report_equals_out_file(command, tmp_path):
+    """``corpus --jobs 2`` and ``maege score`` (one process per usable CPU)
+    fork workers, so a worker and the parent both exit; the report read
+    through a pipe is the ``--out`` bytes."""
+    if command == "corpus":
+        argv = ["corpus", *fig1_corpus(tmp_path, 4), "--jobs", "2"]
+    else:
+        argv = ["maege", "score", *maege_chains(tmp_path, 4)]
+    out = tmp_path / "report.tsv"
+    assert cli_process([*argv, "--out", str(out)]).returncode == 0
+    piped = cli_process(argv)
+    assert (piped.returncode, piped.stderr) == (0, b"")
+    assert piped.stdout == out.read_bytes() != b""
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_report_to_a_pipe_closed_before_the_write(unbuffered, fig1_files):
+    """The reader of standard output is gone before the report is written.
+    Buffered, the write fails only when the buffer is flushed, and the exit
+    reports that as ignored and exits 120; unbuffered, the write raises a
+    ``BrokenPipeError`` traceback, exit 1."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        env = {"PYTHONUNBUFFERED": "1"} if unbuffered else {}
+        run = cli_process(["score", *fig1_files], stdout=write_end, **env)
+    finally:
+        os.close(write_end)
+    lines = run.stderr.decode().splitlines()
+    assert lines[-1] == "BrokenPipeError: [Errno 32] Broken pipe"
+    if unbuffered:
+        assert run.returncode == 1
+        assert lines[0] == "Traceback (most recent call last):"
+    else:
+        assert run.returncode == 120
+        assert len(lines) == 2
+        assert lines[0].startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+
+
+def test_out_with_stdout_closed_at_startup(fig1_files, tmp_path):
+    """Started with descriptor 1 closed, where ``sys.stdout`` is None, a run
+    that writes its report to ``--out`` still exits 0."""
+    out = tmp_path / "report.tsv"
+    run = subprocess.run(
+        ["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m", "semfaith.cli", "score",
+         *fig1_files, "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)), capture_output=True)
+    assert (run.returncode, run.stderr) == (0, b"")
+    assert out.read_text() == GOLDEN["score", "tsv"]
+
+
+def test_cli_import_registers_no_exit_handler():
+    """The process entry ends with ``os._exit``, which runs no ``atexit``
+    handler, so importing the CLI must register none."""
+    probe = ("import atexit; before = atexit._ncallbacks(); import semfaith.cli; "
+             "print(atexit._ncallbacks() - before)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "0"

@@ -6,7 +6,9 @@ must return 0, 3, 4 or 5."""
 from __future__ import annotations
 
 import copy
+import io
 import json
+from contextlib import redirect_stderr
 
 import pytest
 from hypothesis import example, given, settings
@@ -47,6 +49,9 @@ MANIFEST = manifest_to_dict([
     for r in EDIT_RECORDS
 ])
 GROUPS = {"relators": ["R"], "A+D": ["A", "D"]}
+# Python's own texts for a subscript or iteration of the wrong type, which
+# an error message about an edit record or a manifest must not show.
+PYTHON_TYPE_ERRORS = ["indices must be integers", "is not iterable", "is not subscriptable"]
 
 
 def paths(value, prefix=()):
@@ -112,13 +117,27 @@ def workdir(tmp_path_factory):
 fuzz = settings(max_examples=300, deadline=None)
 
 
-def exits_cleanly(argv, out):
-    """``main(argv)`` returns a documented exit code, and leaves no ``out``
-    file behind unless it succeeds."""
-    out.unlink(missing_ok=True)
-    code = main([*argv, "--out", str(out)])
+def exits_documented(argv) -> tuple[int, str]:
+    """``main(argv)``, which must return a documented exit code, and what it
+    wrote to standard error."""
+    with redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
     assert code in EXIT_CODES
+    return code, err.getvalue()
+
+
+def exits_cleanly(argv, out) -> str:
+    """``main(argv)`` returns a documented exit code, and leaves no ``out``
+    file behind unless it succeeds.  Returns what it wrote to standard
+    error."""
+    out.unlink(missing_ok=True)
+    code, err = exits_documented([*argv, "--out", str(out)])
     assert code == 0 or not out.exists()
+    return err
+
+
+def names_fields_in_words(err: str) -> None:
+    assert not any(text in err for text in PYTHON_TYPE_ERRORS), err
 
 
 @given(data=mutated(GRAPH))
@@ -145,7 +164,8 @@ def test_graph_documents(workdir, data):
 @fuzz
 def test_edit_corpus_documents(workdir, data):
     (workdir / "edits.jsonl").write_bytes(data)
-    exits_cleanly(["maege", "gen", str(workdir / "edits.jsonl")], workdir / "out.json")
+    names_fields_in_words(
+        exits_cleanly(["maege", "gen", str(workdir / "edits.jsonl")], workdir / "out.json"))
 
 
 @given(data=mutated(MANIFEST))
@@ -153,8 +173,9 @@ def test_edit_corpus_documents(workdir, data):
 @fuzz
 def test_manifest_documents(workdir, data):
     (workdir / "manifest.json").write_bytes(data)
-    argv = ["maege", "score", str(workdir / "manifest.json"), str(workdir / "graphs")]
-    assert main(argv) in EXIT_CODES
+    _, err = exits_documented(
+        ["maege", "score", str(workdir / "manifest.json"), str(workdir / "graphs")])
+    names_fields_in_words(err)
 
 
 @given(data=mutated(GROUPS))
