@@ -4,6 +4,7 @@ same inputs, flags, and seed."""
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -14,6 +15,7 @@ from typing import BinaryIO
 from .graph import (
     GraphFormatError,
     GraphValidationError,
+    is_str_list,
     load_graph,
     parse_json,
     read_corpus,
@@ -48,7 +50,8 @@ class WorkerError(RuntimeError):
 
 
 class OutputError(Exception):
-    """The report or manifest could not be written to ``--out``."""
+    """The report or manifest could not be written to ``--out``, or the
+    report to standard output."""
 
 
 # The exit code of each error that main reports; argparse exits 2 on a bad flag.
@@ -128,7 +131,8 @@ def _write_report(args: argparse.Namespace, header: list[str], rows: list[list],
     None.  As TSV it is ``header`` and then ``rows``; as JSON lines it is
     ``records``, by default one object per row keyed by ``header``.  The
     text is encoded before the file is opened, so a report that cannot be
-    encoded leaves no file."""
+    encoded leaves no file.  A write that fails, to either, raises
+    ``OutputError``."""
     if args.format == "json-lines":
         if records is None:
             records = [dict(zip(header, row)) for row in rows]
@@ -137,13 +141,24 @@ def _write_report(args: argparse.Namespace, header: list[str], rows: list[list],
         lines = ["\t".join(_tsv_field(column, value) for column, value in zip(header, row))
                  for row in [header, *rows]]
     text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        try:
+    try:
+        if args.out is not None:
             Path(args.out).write_bytes(text.encode("utf-8"))
-        except OSError as exc:
-            raise OutputError(f"cannot write {args.out}: {exc.strerror}") from exc
+        elif sys.stdout is None:  # descriptor 1 was closed at startup
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        if args.out is None and sys.stdout is not None:
+            # Whatever the failed write left in the buffer goes to the null
+            # device when it is flushed again on the way out, so that flush
+            # cannot fail too.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        where = "standard output" if args.out is None else args.out
+        raise OutputError(f"cannot write {where}: {exc.strerror}") from exc
 
 
 def _score_kwargs(args: argparse.Namespace) -> dict:
@@ -431,9 +446,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
 def _load_groups(path: str) -> list[tuple[str, frozenset[str]]]:
     doc = parse_json(read_utf8(path, GraphFormatError), GraphFormatError, f"groups file {path}")
     if not isinstance(doc, dict) or not all(
-        isinstance(k, str) and isinstance(v, list) and all(isinstance(x, str) for x in v)
-        for k, v in doc.items()
-    ):
+            isinstance(k, str) and is_str_list(v) for k, v in doc.items()):
         raise GraphFormatError(
             f"groups file {path}: expected an object mapping names to label lists"
         )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import AbstractContextManager
 from functools import partial
 from operator import itemgetter
 from pathlib import Path
@@ -230,59 +231,101 @@ def edge_instances(g: SemanticGraph, include_remote: bool = True) -> tuple[EdgeI
 # -- interchange format ---------------------------------------------------
 
 
-def _require(obj: dict, key: str, kind: type, where: str):
-    if key not in obj:
-        raise GraphFormatError(f"{where}: missing field {key!r}")
-    value = obj[key]
-    if not isinstance(value, kind):
-        raise GraphFormatError(
-            f"{where}: field {key!r} must be {kind.__name__}, got {type(value).__name__}"
-        )
+class located(AbstractContextManager):
+    """A context that raises an error of its block that is one of
+    ``errors`` again, as the same class, with ``where``, the file, line or
+    record it concerns, in front of its message.  A class, not a generator,
+    since a graph document enters several: this costs less to enter."""
+
+    def __init__(self, where: str | Path, *errors: type[ValueError]):
+        self.where, self.errors = where, errors
+
+    def __exit__(self, kind, exc, traceback):
+        if isinstance(exc, self.errors):
+            raise kind(f"{self.where}: {exc}") from exc
+
+
+def require_object(value, what: str, error: type[ValueError]) -> dict:
+    """``value``, which must be a JSON object; ``what`` names it."""
+    if not isinstance(value, dict):
+        raise error(f"{what} must be an object, got {type(value).__name__}")
     return value
+
+
+def require_field(record: dict, key: str, error: type[ValueError], kind: type = object,
+                  noun: str = ""):
+    """``record[key]``, which must be there and, unless ``kind`` is
+    ``object``, be a ``kind``, which the message calls ``noun``."""
+    if key not in record:
+        raise error(f"missing field {key!r}")
+    value = record[key]
+    if not isinstance(value, kind):
+        raise error(f"field {key!r} must be {noun}, got {type(value).__name__}")
+    return value
+
+
+def is_int(value) -> bool:
+    """Whether ``value`` is an integer; a bool, which Python counts as one,
+    is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 _is_str = str.__instancecheck__  # isinstance(x, str), as a function for map
 
 
+def is_str_list(value) -> bool:
+    """Whether ``value`` is a list of strings."""
+    return isinstance(value, list) and all(map(_is_str, value))
+
+
 def graph_from_dict(doc: dict) -> SemanticGraph:
     """The graph of an interchange document.  Each field of a node or edge
     record takes one type test, and only a field that fails it has its
-    message built.  Of several faults in one record, the first in field
-    order is named."""
-    if not isinstance(doc, dict):
-        raise GraphFormatError(f"document must be an object, got {type(doc).__name__}")
-    gid = _require(doc, "id", str, "document")
+    message built; a record that passes is built by ``tuple.__new__``, so
+    it takes no Python-level call.  Of several faults in one record, the
+    first in field order is named."""
+    doc = require_object(doc, "document", GraphFormatError)
+    with located("document", GraphFormatError):
+        gid = require_field(doc, "id", GraphFormatError, str, "str")
     where = f"graph {gid!r}"
-    tokens = _require(doc, "tokens", list, where)
-    if not all(map(_is_str, tokens)):
-        i = next(i for i, text in enumerate(tokens) if not isinstance(text, str))
-        raise GraphFormatError(f"{where}: tokens[{i}] must be a string")
+    with located(where, GraphFormatError):
+        tokens = require_field(doc, "tokens", GraphFormatError, list, "list")
+        if not all(map(_is_str, tokens)):
+            i = next(i for i, text in enumerate(tokens) if not isinstance(text, str))
+            raise GraphFormatError(f"tokens[{i}] must be a string")
+        node_docs = require_field(doc, "nodes", GraphFormatError, list, "list")
     nodes = []
-    for i, raw in enumerate(_require(doc, "nodes", list, where)):
+    for i, raw in enumerate(node_docs):
         if not isinstance(raw, dict):
             raise GraphFormatError(f"{where}: nodes[{i}] must be an object")
         nid, anchor = raw.get("id"), raw.get("anchor")
         if not isinstance(nid, str):
-            _require(raw, "id", str, f"{where} nodes[{i}]")
-        if anchor is not None and (isinstance(anchor, bool) or not isinstance(anchor, int)):
+            with located(f"{where} nodes[{i}]", GraphFormatError):
+                require_field(raw, "id", GraphFormatError, str, "str")
+        # an int anchor takes one test; only another value is put to is_int
+        if anchor is not None and anchor.__class__ is not int and not is_int(anchor):
             raise GraphFormatError(f"{where}: nodes[{i}].anchor must be an integer")
-        nodes.append(Node(nid, anchor))
+        nodes.append(tuple.__new__(Node, (nid, anchor)))
+    with located(where, GraphFormatError):
+        edge_docs = require_field(doc, "edges", GraphFormatError, list, "list")
     edges = []
-    for i, raw in enumerate(_require(doc, "edges", list, where)):
+    for i, raw in enumerate(edge_docs):
         if not isinstance(raw, dict):
             raise GraphFormatError(f"{where}: edges[{i}] must be an object")
         parent, child, labels = raw.get("parent"), raw.get("child"), raw.get("labels")
         if not (isinstance(parent, str) and isinstance(child, str)
                 and isinstance(labels, list)):
-            for key, kind in (("parent", str), ("child", str), ("labels", list)):
-                _require(raw, key, kind, f"{where} edges[{i}]")
+            with located(f"{where} edges[{i}]", GraphFormatError):
+                for key, kind in (("parent", str), ("child", str), ("labels", list)):
+                    require_field(raw, key, GraphFormatError, kind, kind.__name__)
         if not all(map(_is_str, labels)):
             raise GraphFormatError(f"{where} edges[{i}]: labels must be strings")
         remote = raw.get("remote", False)
         if not isinstance(remote, bool):
             raise GraphFormatError(f"{where} edges[{i}]: remote must be a boolean")
-        edges.append(Edge(parent, child, frozenset(labels), remote))
-    root = _require(doc, "root", str, where)
+        edges.append(tuple.__new__(Edge, (parent, child, frozenset(labels), remote)))
+    with located(where, GraphFormatError):
+        root = require_field(doc, "root", GraphFormatError, str, "str")
     return SemanticGraph(gid, tuple(tokens), tuple(nodes), tuple(edges), root)
 
 
@@ -346,16 +389,6 @@ def parse_graph(text: str) -> SemanticGraph:
     return graph_from_dict(parse_json(text, GraphFormatError, "document"))
 
 
-def _parse_at(where: str | Path, text: str) -> SemanticGraph:
-    """The graph of the document ``text``.  A format or validation error is
-    raised again with ``where``, the file or line the text came from, in
-    front of its message."""
-    try:
-        return parse_graph(text)
-    except (GraphFormatError, GraphValidationError) as exc:
-        raise type(exc)(f"{where}: {exc}") from exc
-
-
 def read_json_lines(path: str | Path, error: type[ValueError]) -> list[tuple[str, str]]:
     r"""The non-blank lines of the JSON Lines file at ``path``, each with
     where it is, ``<path> line <N>``.  Lines end only at ``"\n"``, into which
@@ -367,7 +400,11 @@ def read_json_lines(path: str | Path, error: type[ValueError]) -> list[tuple[str
 
 
 def load_graph(path: str | Path) -> SemanticGraph:
-    return _parse_at(path, read_utf8(path, GraphFormatError))
+    """The graph of the document at ``path``.  A format or validation error
+    names the file."""
+    text = read_utf8(path, GraphFormatError)
+    with located(path, GraphFormatError, GraphValidationError):
+        return parse_graph(text)
 
 
 def read_corpus(path: str | Path) -> dict[str, SemanticGraph]:
@@ -387,7 +424,8 @@ def read_corpus(path: str | Path) -> dict[str, SemanticGraph]:
     corpus: dict[str, SemanticGraph] = {}
     first: dict[str, str | Path] = {}  # graph id -> where it was read
     for where, text in documents:
-        g = _parse_at(where, text)
+        with located(where, GraphFormatError, GraphValidationError):
+            g = parse_graph(text)
         if g.id in corpus:
             raise GraphFormatError(
                 f"{where}: duplicate graph id {g.id!r}, first read at {first[g.id]}")

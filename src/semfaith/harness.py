@@ -12,28 +12,17 @@ from __future__ import annotations
 
 import json
 import random
-from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
-from .graph import (GraphValidationError, SemanticGraph, load_graph, parse_json,
-                    read_json_lines, read_utf8)
+from .graph import (GraphValidationError, SemanticGraph, is_int, is_str_list, load_graph,
+                    located, parse_json, read_json_lines, read_utf8, require_field, require_object)
 from .measures import usim_batch
 
 
 class HarnessError(ValueError):
     pass
-
-
-@contextmanager
-def _located(where: str):
-    """Raise a ``HarnessError`` of the block again with ``where``, the record
-    it concerns, in front of its message."""
-    try:
-        yield
-    except HarnessError as exc:
-        raise HarnessError(f"{where}: {exc}") from exc
 
 
 class _EditFields(NamedTuple):
@@ -159,44 +148,18 @@ _MAX_NAME_BYTES = 255
 # -- edit corpus and manifest I/O -----------------------------------------
 
 
-_KIND_NAMES = {list: "a list", str: "a string"}
-
-
-def _object(value, what: str) -> dict:
-    """``value``, which must be a JSON object; ``what`` names it."""
-    if not isinstance(value, dict):
-        raise HarnessError(f"{what} must be an object, got {type(value).__name__}")
-    return value
-
-
-def _field(record: dict, key: str, kind: type = object):
-    """``record[key]``, which must be there and, unless ``kind`` is
-    ``object``, be a ``kind``."""
-    if key not in record:
-        raise HarnessError(f"missing field {key!r}")
-    value = record[key]
-    if not isinstance(value, kind):
-        raise HarnessError(
-            f"field {key!r} must be {_KIND_NAMES[kind]}, got {type(value).__name__}")
-    return value
-
-
 def _records(record: dict, key: str):
     """``(name, item)`` for each item of the list ``record[key]``, which must
     each be an object, named ``<key>[<index>]``."""
-    for k, item in enumerate(_field(record, key, list)):
+    for k, item in enumerate(require_field(record, key, HarnessError, list, "a list")):
         name = f"{key}[{k}]"
-        yield name, _object(item, name)
+        yield name, require_object(item, name, HarnessError)
 
 
 def _strings(value, what: str) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+    if not is_str_list(value):
         raise HarnessError(f"{what} must be a list of strings")
     return tuple(value)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _edit_fields(record: dict) -> list[tuple]:
@@ -205,10 +168,11 @@ def _edit_fields(record: dict) -> list[tuple]:
     ``edits[<index>]``."""
     edits = []
     for name, e in _records(record, "edits"):
-        with _located(name):
+        with located(name, HarnessError):
             start, end, edit_type, replacement = (
-                _field(e, key) for key in ("start", "end", "type", "replacement"))
-        if not (_is_int(start) and _is_int(end)):
+                require_field(e, key, HarnessError)
+                for key in ("start", "end", "type", "replacement"))
+        if not (is_int(start) and is_int(end)):
             raise HarnessError(
                 f"edit start and end must be integers, not {start!r} and {end!r}")
         if not isinstance(edit_type, str):
@@ -255,11 +219,11 @@ def _located_edit_records(path: str | Path) -> list[tuple[str, tuple]]:
     seen: set[str] = set()
     for where, line in read_json_lines(path, HarnessError):
         doc = parse_json(line, HarnessError, where)
-        with _located(where):
-            with _located("bad record"):
-                record = _object(doc, "document")
-                sid = _field(record, "sentence_id")
-                tokens = list(_strings(_field(record, "tokens"), "tokens"))
+        with located(where, HarnessError):
+            with located("bad record", HarnessError):
+                record = require_object(doc, "document", HarnessError)
+                sid = require_field(record, "sentence_id", HarnessError)
+                tokens = list(_strings(require_field(record, "tokens", HarnessError), "tokens"))
                 fields = _edit_fields(record)
             edits = [EditOperation(*f) for f in fields]
             _claim_sentence_id(sid, seen)
@@ -284,7 +248,7 @@ def build_chains(
     its record."""
     chains = []
     for where, record in _located_edit_records(path):
-        with _located(where):
+        with located(where, HarnessError):
             chains.append(build_chain(*record, seed, pin_source_index))
     return chains
 
@@ -324,22 +288,22 @@ def chains_from_manifest(doc: dict) -> list[VersionChain]:
     seen: set[str] = set()
     tokens_by_vid: dict[str, tuple[str, ...]] = {}
     chains = []
-    with _located("bad manifest"):
-        doc = _object(doc, "document")
+    with located("bad manifest", HarnessError):
+        doc = require_object(doc, "document", HarnessError)
         for name, v in _records(doc, "versions"):
-            with _located(name):
-                vid = _field(v, "version_id", str)
-            with _located(f"version {vid!r}"):
-                tokens = _strings(_field(v, "tokens"), "tokens")
+            with located(name, HarnessError):
+                vid = require_field(v, "version_id", HarnessError, str, "a string")
+            with located(f"version {vid!r}", HarnessError):
+                tokens = _strings(require_field(v, "tokens", HarnessError), "tokens")
             if vid in tokens_by_vid:
                 raise HarnessError(f"versions repeat version_id {vid!r}")
             tokens_by_vid[vid] = tokens
         for name, c in _records(doc, "chains"):
-            with _located(name):
-                sid = _field(c, "sentence_id")
+            with located(name, HarnessError):
+                sid = require_field(c, "sentence_id", HarnessError)
             sid = _claim_sentence_id(sid, seen)
-            with _located(f"chain {sid!r}"):
-                vids = _field(c, "version_ids", list)
+            with located(f"chain {sid!r}", HarnessError):
+                vids = require_field(c, "version_ids", HarnessError, list, "a list")
                 for k, vid in enumerate(vids):
                     if vid != version_id(sid, k):  # maege score reads <version_id(sid, k)>.json
                         raise HarnessError(
@@ -349,7 +313,8 @@ def chains_from_manifest(doc: dict) -> list[VersionChain]:
                 versions = tuple(tokens_by_vid[vid] for vid in vids)
                 edits = tuple(EditOperation(*f) for f in _edit_fields(c))
                 order, source_index, seed = (
-                    _field(c, key) for key in ("order", "source_index", "seed"))
+                    require_field(c, key, HarnessError)
+                    for key in ("order", "source_index", "seed"))
                 _check_replay(sid, versions, edits, order, source_index, seed)
                 chains.append(VersionChain(sid, seed, tuple(order), versions, source_index, edits))
     return chains
@@ -370,15 +335,15 @@ def _check_replay(
     edit's replacement holds an empty token string."""
     if (
         not isinstance(order, list)
-        or not all(_is_int(k) for k in order)
+        or not all(is_int(k) for k in order)
         or sorted(order) != list(range(len(edits)))
     ):
         raise HarnessError(f"order {order!r} is not a permutation of the edit indices")
     if not versions or tuple(apply_edits_in_order(versions[0], edits, order)) != versions:
         raise HarnessError("versions do not replay from the edits in order")
-    if not _is_int(source_index) or not 0 <= source_index < len(versions):
+    if not is_int(source_index) or not 0 <= source_index < len(versions):
         raise HarnessError(f"source_index {source_index!r} is not a version index")
-    if not _is_int(seed):
+    if not is_int(seed):
         raise HarnessError(f"seed {seed!r} is not an integer")
     _check_token_strings(f"version {version_id(sid, 0)!r} tokens", versions[0], edits)
 

@@ -950,11 +950,32 @@ def test_rejects_negative_or_nan_max_norm_dist(fig1_files, value, capsys):
     assert main(["score", src, cor, "--max-norm-dist", "1.5"]) == 0
 
 
+def graph_doc(**fields):
+    """A one-token graph document with ``fields`` replaced, or removed where
+    the value is None."""
+    doc = {"id": "g", "tokens": ["a"], "nodes": [{"id": "r"}, {"id": "x", "anchor": 0}],
+           "edges": [{"parent": "r", "child": "x", "labels": ["A"]}], "root": "r"}
+    doc.update(fields)
+    return {key: value for key, value in doc.items() if value is not None}
+
+
 @pytest.mark.parametrize("doc, message", [
     ([], "document must be an object, got list"),
-    ({"id": "g", "tokens": ["a", 1], "nodes": [], "edges": [], "root": "r"},
-     "graph 'g': tokens[1] must be a string"),
-], ids=["not an object", "token not a string"])
+    (graph_doc(id=None), "document: missing field 'id'"),
+    (graph_doc(id=1), "document: field 'id' must be str, got int"),
+    (graph_doc(tokens=["a", 1]), "graph 'g': tokens[1] must be a string"),
+    (graph_doc(nodes=[{"anchor": 0}]), "graph 'g' nodes[0]: missing field 'id'"),
+    (graph_doc(nodes=[{"id": "r", "anchor": "0"}]),
+     "graph 'g': nodes[0].anchor must be an integer"),
+    (graph_doc(edges=["r"]), "graph 'g': edges[0] must be an object"),
+    (graph_doc(edges=[{"parent": "r", "child": "x", "labels": [1]}]),
+     "graph 'g' edges[0]: labels must be strings"),
+    (graph_doc(edges=[{"parent": "r", "child": "x", "labels": ["A"], "remote": 1}]),
+     "graph 'g' edges[0]: remote must be a boolean"),
+    (graph_doc(root=None), "graph 'g': missing field 'root'"),
+], ids=["not an object", "no id", "id not a string", "token not a string", "node without id",
+        "anchor not an integer", "edge not an object", "label not a string",
+        "remote not a boolean", "no root"])
 def test_graph_document_fault_names_its_file_or_line(doc, message, tmp_path, capsys):
     """``score`` names the file of a faulty document, and ``corpus`` the
     ``.jsonl`` line, here line 2 after a sound graph."""
@@ -1151,7 +1172,8 @@ def test_maege_gen_rejects_string_token_lists(tmp_path, field, capsys):
     (edit if field == "replacement" else record)[field] = "abc"
     edits = write_records(tmp_path / "edits.jsonl", [record])
     assert main(["maege", "gen", edits, "--out", str(tmp_path / "m.json")]) == 3
-    assert f"{field} must be a list of strings" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {edits} line 1: bad record: {field} must be a list of strings\n")
 
 
 @pytest.mark.parametrize("field", ["tokens", "replacement"])
@@ -1166,7 +1188,9 @@ def test_maege_score_rejects_string_token_lists(edit_corpus, tmp_path, field, ca
     manifest.write_text(json.dumps(doc))
     write_version_graphs(doc, tmp_path)
     assert main(["maege", "score", str(manifest), str(tmp_path)]) == 3
-    assert f"{field} must be a list of strings" in capsys.readouterr().err
+    where = "version 's1.v0'" if field == "tokens" else "chain 's1'"
+    assert capsys.readouterr().err == (
+        f"error: bad manifest: {where}: {field} must be a list of strings\n")
 
 
 def test_cli_import_loads_no_numeric_or_pool_modules():
@@ -1188,6 +1212,11 @@ def test_cli_import_loads_no_dataclasses():
                    check=True)
 
 
+def mistyped_values(edit, field):
+    """How the error message of a mistyped ``field`` shows ``edit``'s values."""
+    return repr(edit["type"]) if field == "type" else f"{edit['start']!r} and {edit['end']!r}"
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [("start", 0.5, "start and end must be integers"),
@@ -1200,7 +1229,9 @@ def test_maege_gen_rejects_mistyped_edit_fields(tmp_path, field, value, message,
     record = {"sentence_id": "s1", "tokens": ["a", "b"], "edits": [edit]}
     edits = write_records(tmp_path / "edits.jsonl", [record])
     assert main(["maege", "gen", edits, "--out", str(tmp_path / "m.json")]) == 3
-    assert message in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {edits} line 1: bad record: edit {message}, "
+        f"not {mistyped_values(edit, field)}\n")
 
 
 def _manifest_with_graphs(edit_corpus, tmp_path, change=lambda doc: None):
@@ -1226,8 +1257,10 @@ def test_maege_score_rejects_mistyped_edit_fields(edit_corpus, tmp_path, field, 
         doc["chains"][0]["edits"][0][field] = value
 
     manifest = _manifest_with_graphs(edit_corpus, tmp_path, change)
+    edit = json.loads(Path(manifest).read_text())["chains"][0]["edits"][0]
     assert main(["maege", "score", manifest, str(tmp_path)]) == 3
-    assert message in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: bad manifest: chain 's1': edit {message}, not {mistyped_values(edit, field)}\n")
 
 
 @pytest.mark.parametrize(
@@ -1765,9 +1798,8 @@ def test_piped_report_equals_out_file(command, tmp_path):
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 def test_report_to_a_pipe_closed_before_the_write(unbuffered, fig1_files):
     """The reader of standard output is gone before the report is written.
-    Buffered, the write fails only when the buffer is flushed, and the exit
-    reports that as ignored and exits 120; unbuffered, the write raises a
-    ``BrokenPipeError`` traceback, exit 1."""
+    Buffered or not, the run says so in one error line and exits 2, as for
+    an ``--out`` that cannot be written."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -1775,27 +1807,33 @@ def test_report_to_a_pipe_closed_before_the_write(unbuffered, fig1_files):
         run = cli_process(["score", *fig1_files], stdout=write_end, **env)
     finally:
         os.close(write_end)
-    lines = run.stderr.decode().splitlines()
-    assert lines[-1] == "BrokenPipeError: [Errno 32] Broken pipe"
-    if unbuffered:
-        assert run.returncode == 1
-        assert lines[0] == "Traceback (most recent call last):"
-    else:
-        assert run.returncode == 120
-        assert len(lines) == 2
-        assert lines[0].startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+    assert run.returncode == 2
+    assert run.stderr == b"error: cannot write standard output: Broken pipe\n"
+
+
+def stdout_closed_at_startup(argv):
+    """``python -m semfaith.cli argv`` started with descriptor 1 closed,
+    where ``sys.stdout`` is None, its standard error captured."""
+    return subprocess.run(
+        ["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m", "semfaith.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)), capture_output=True)
 
 
 def test_out_with_stdout_closed_at_startup(fig1_files, tmp_path):
-    """Started with descriptor 1 closed, where ``sys.stdout`` is None, a run
-    that writes its report to ``--out`` still exits 0."""
+    """Started with descriptor 1 closed, a run that writes its report to
+    ``--out`` still exits 0."""
     out = tmp_path / "report.tsv"
-    run = subprocess.run(
-        ["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m", "semfaith.cli", "score",
-         *fig1_files, "--out", str(out)],
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)), capture_output=True)
+    run = stdout_closed_at_startup(["score", *fig1_files, "--out", str(out)])
     assert (run.returncode, run.stderr) == (0, b"")
     assert out.read_text() == GOLDEN["score", "tsv"]
+
+
+def test_report_to_stdout_closed_at_startup(fig1_files):
+    """Started with descriptor 1 closed, a run that writes its report to
+    standard output says so in one error line and exits 2."""
+    run = stdout_closed_at_startup(["score", *fig1_files])
+    assert (run.returncode, run.stderr) == (
+        2, b"error: cannot write standard output: Bad file descriptor\n")
 
 
 def test_cli_import_registers_no_exit_handler():

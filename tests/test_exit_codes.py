@@ -2,7 +2,7 @@
 traceback.  Valid graph, edit-corpus, manifest and groups documents are
 mutated (truncated, a field deleted, a value swapped for one of another
 type, a byte that is not UTF-8 inserted), and the command that reads each
-must return 0, 3, 4 or 5."""
+must return 0, 3, 4 or 5, and name a fault in one ``error:`` line."""
 from __future__ import annotations
 
 import copy
@@ -119,10 +119,16 @@ fuzz = settings(max_examples=300, deadline=None)
 
 def exits_documented(argv) -> tuple[int, str]:
     """``main(argv)``, which must return a documented exit code, and what it
-    wrote to standard error."""
+    wrote to standard error: zero or more ``warning:`` lines, then one
+    ``error:`` line unless it succeeds."""
     with redirect_stderr(io.StringIO()) as err:
         code = main(argv)
     assert code in EXIT_CODES
+    lines = err.getvalue().split("\n")
+    assert lines.pop() == ""  # every line ends in a newline
+    if code:
+        assert lines.pop().startswith("error: "), err.getvalue()
+    assert all(line.startswith("warning: ") for line in lines), err.getvalue()
     return code, err.getvalue()
 
 
@@ -149,8 +155,9 @@ def names_fields_in_words(err: str) -> None:
 def test_graph_documents(workdir, data):
     (workdir / "m.json").write_bytes(data)
     (workdir / "m.jsonl").write_bytes(data)
-    assert main(["score", str(workdir / "m.json"), str(workdir / "cor.json")]) in EXIT_CODES
-    assert main(["corpus", str(workdir / "m.jsonl"), str(workdir / "cor.jsonl")]) in EXIT_CODES
+    for argv in (["score", str(workdir / "m.json"), str(workdir / "cor.json")],
+                 ["corpus", str(workdir / "m.jsonl"), str(workdir / "cor.jsonl")]):
+        names_fields_in_words(exits_documented(argv)[1])
     # Against itself the graph pairs by id, so its id and labels reach the report.
     for command in ("corpus", "distsim"):
         exits_cleanly([command, str(workdir / "m.jsonl"), str(workdir / "m.jsonl")],
@@ -185,4 +192,4 @@ def test_groups_documents(workdir, data):
     (workdir / "groups.json").write_bytes(data)
     argv = ["distsim", str(workdir / "src.jsonl"), str(workdir / "cor.jsonl"),
             "--groups", str(workdir / "groups.json")]
-    assert main(argv) in EXIT_CODES
+    names_fields_in_words(exits_documented(argv)[1])
