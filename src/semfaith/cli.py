@@ -32,7 +32,6 @@ from .harness import (
 )
 from .measures import (
     ScoreTriple,
-    TokenMismatchError,
     UsimReport,
     distsim,
     usim,
@@ -61,7 +60,6 @@ EXIT_CODES = {
     GraphFormatError: 3,  # malformed input, an empty input path, or a field TSV cannot hold
     HarnessError: 3,
     GraphValidationError: 4,  # well-formed input violating an invariant/precondition
-    TokenMismatchError: 4,
     PairingError: 5,  # corpora that cannot be paired
 }
 

@@ -63,12 +63,8 @@ class TypeDelta(NamedTuple):
 
 
 def apply_edit(tokens: Sequence[str], edit: EditOperation) -> list[str]:
-    if edit.end > len(tokens):
-        raise HarnessError(
-            f"edit span ({edit.start}, {edit.end}) out of bounds for "
-            f"{len(tokens)} tokens"
-        )
-    return list(tokens[: edit.start]) + list(edit.replacement) + list(tokens[edit.end :])
+    """The one-edit case of ``apply_edits_in_order``."""
+    return list(apply_edits_in_order(tokens, [edit], [0])[-1])
 
 
 def _check_non_overlapping(edits: Sequence[EditOperation], n_tokens: int) -> None:
@@ -183,8 +179,9 @@ def _edit_fields(record: dict) -> list[tuple]:
 
 def _claim_sentence_id(sid, seen: set[str]) -> str:
     """Check that ``sid`` can name the graph files ``<sid>.v<k>.json``: a
-    plain file-name part that no earlier record in ``seen`` uses."""
-    if not isinstance(sid, str) or sid in ("", ".", "..") or "/" in sid or "\\" in sid:
+    plain file-name part, with no ``/``, ``\\`` or U+0000, that no earlier
+    record in ``seen`` uses."""
+    if not isinstance(sid, str) or sid in ("", ".", "..") or {"/", "\\", "\0"} & set(sid):
         raise HarnessError(f"sentence_id {sid!r} is not a plain file-name part")
     if sid in seen:
         raise HarnessError(f"duplicate sentence_id {sid!r}")

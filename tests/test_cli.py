@@ -16,8 +16,8 @@ from fig1 import fig1_correction, fig1_source
 from helpers_build import graph_from_nested, random_dag, random_tokens
 from semfaith import (
     S_TO_C,
+    GraphValidationError,
     LeafAlignment,
-    TokenMismatchError,
     cli,
     extend_alignment,
     graph_from_dict,
@@ -297,7 +297,7 @@ def test_corpus_worker_exception_exits_as_sequential(tmp_path, monkeypatch, caps
 
     def failing_usim(g_s, g_c, **kwargs):
         if g_s.id in ("s1", "s3"):
-            raise TokenMismatchError(f"{g_s.id} failed in process {os.getpid()}")
+            raise GraphValidationError(f"{g_s.id} failed in process {os.getpid()}")
         return real_usim(g_s, g_c, **kwargs)
 
     monkeypatch.setattr(cli, "usim", failing_usim)
@@ -1088,12 +1088,13 @@ def test_maege_gen_rejects_duplicate_sentence_ids(tmp_path, capsys):
     assert "duplicate sentence_id 's1'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("sid", ["../x", "a/b", "a\\b", "", ".", "..", 7])
+@pytest.mark.parametrize("sid", ["../x", "a/b", "a\\b", "s\x00x", "", ".", "..", 7])
 def test_maege_gen_rejects_path_like_sentence_ids(tmp_path, sid, capsys):
     record = {"sentence_id": sid, "tokens": ["a"], "edits": []}
     edits = write_records(tmp_path / "edits.jsonl", [record])
     assert main(["maege", "gen", edits, "--out", str(tmp_path / "m.json")]) == 3
     assert "sentence_id" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
 
 
 def name_of_bytes(size: int, edits: int, wide: bool) -> str:
@@ -1163,6 +1164,23 @@ def test_maege_score_rejects_sentence_id_outside_graphs_dir(edit_corpus, tmp_pat
     write_version_graphs(doc, tmp_path)  # where "../<id>" resolves
     assert main(["maege", "score", str(manifest), str(graphs_dir)]) == 3
     assert "sentence_id '../s1'" in capsys.readouterr().err
+
+
+def test_maege_score_rejects_sentence_id_with_nul(edit_corpus, tmp_path, capsys):
+    """No file name holds U+0000, so the manifest is refused, before any
+    graph is looked for."""
+    manifest = tmp_path / "m.json"
+    main(["maege", "gen", edit_corpus, "--seed", "7", "--out", str(manifest)])
+    doc = json.loads(manifest.read_text())
+    doc["chains"][0]["sentence_id"] = "s\x00x"
+    doc["chains"][0]["version_ids"] = [
+        vid.replace("s1", "s\x00x", 1) for vid in doc["chains"][0]["version_ids"]]
+    for v in doc["versions"]:
+        v["version_id"] = v["version_id"].replace("s1", "s\x00x", 1)
+    manifest.write_text(json.dumps(doc))
+    assert main(["maege", "score", str(manifest), str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        "error: bad manifest: sentence_id 's\\x00x' is not a plain file-name part\n")
 
 
 @pytest.mark.parametrize("field", ["tokens", "replacement"])
@@ -1650,7 +1668,7 @@ def test_maege_score_failure_precedence_as_sequential(tmp_path, monkeypatch, cap
     def failing_usim_batch(g_s, corrections, **kwargs):
         for g_c in corrections:
             if g_c.id in failing:
-                raise TokenMismatchError(f"{g_c.id} failed to score")
+                raise GraphValidationError(f"{g_c.id} failed to score")
         return real_usim_batch(g_s, corrections, **kwargs)
 
     monkeypatch.setattr(harness, "usim_batch", failing_usim_batch)

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers_build import WORDS, graph_from_nested, merge_edits_order_free, random_dag
 from semfaith import (
@@ -22,7 +27,7 @@ from semfaith import (
     usim,
     version_id,
 )
-from semfaith.harness import chain_scores, type_deltas
+from semfaith.harness import chain_scores, graph_file_name, type_deltas
 
 EDIT_TYPES = ["Mec", "ArtOrDet", "Wci", "Nn", "Vt"]
 
@@ -66,7 +71,7 @@ def test_apply_edit_insertion():
 
 
 def test_apply_edit_out_of_bounds():
-    with pytest.raises(HarnessError):
+    with pytest.raises(HarnessError, match=r"^edit span \(0, 2\) out of bounds$"):
         apply_edit(["a"], EditOperation(0, 2, (), "Nn"))
 
 
@@ -204,8 +209,6 @@ def test_manifest_no_dedup_across_chains(tmp_path):
     ]
     path = tmp_path / "m.json"
     emit_manifest(chains, path)
-    import json
-
     doc = json.loads(path.read_text())
     assert [v["version_id"] for v in doc["versions"]] == ["s1.v0", "s2.v0"]
 
@@ -220,6 +223,29 @@ def test_edit_corpus_reader(tmp_path):
     assert records == [
         ("s1", ["He", "gve"], [EditOperation(1, 2, ("gave",), "Mec")])
     ]
+
+
+@settings(max_examples=400, deadline=None)
+@given(sid=st.text(min_size=1), n_edits=st.integers(0, 12))
+def test_accepted_sentence_ids_name_creatable_graph_files(sid, n_edits):
+    """README: a sentence_id must be usable as part of a file name.  For a
+    record that ``read_edit_corpus`` accepts, with K single-token edits, the
+    graph file ``graph_file_name(sid, k)`` of every version k <= K can be
+    created."""
+    record = {"sentence_id": sid, "tokens": [f"w{i}" for i in range(n_edits)],
+              "edits": [{"start": i, "end": i + 1, "replacement": ["x"], "type": "R"}
+                        for i in range(n_edits)]}
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory, "edits.jsonl")
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        try:
+            read_edit_corpus(path)
+        except HarnessError:
+            return
+        graphs = Path(directory, "graphs")
+        graphs.mkdir()
+        for k in range(n_edits + 1):
+            (graphs / graph_file_name(sid, k)).touch(exist_ok=False)
 
 
 def graphs_for(chains, parse=toy_parse):
