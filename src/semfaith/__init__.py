@@ -10,7 +10,6 @@ from .align import (
     align_leaves,
     edit_distance,
     extend_alignment,
-    format_alignment_dump,
 )
 from .graph import (
     Edge,

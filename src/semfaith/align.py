@@ -10,7 +10,6 @@ own target leaf is.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from operator import add, sub
 from typing import NamedTuple, Sequence
 
@@ -148,9 +147,9 @@ def align_leaves_batch(
     source, in order.
 
     Each distinct (source string, correction string) pair of the batch has
-    its distance computed once, in one table; the threshold limits and each
-    correction string's allowed cells are also found once.  Each correction
-    is then solved on its own, with the composite costs of that pair alone.
+    its distance computed once, in one table; each correction string's
+    allowed cells are also found once.  Each correction is then solved on
+    its own, with the composite costs of that pair alone.
 
     Two short paths give what the full solve would.  A correction equal to
     the source (after lowercasing) gets the diagonal and adds no string to
@@ -171,26 +170,17 @@ def align_leaves_batch(
             for b in dst:
                 columns.setdefault(b, len(columns))
     table = _distance_table(src_strings, list(columns)) if columns else []
-    by_column = list(zip(*table))
-    column_max = list(map(max, by_column))
     if max_norm_dist is not None:
-        # A pair at distance d is forbidden when d / most > max_norm_dist,
-        # most being the longer string's length, or 1 for two empty strings.
-        # The quotient grows with d, so the pairs of one most are allowed
-        # below one limit: the smallest d whose quotient is over the
-        # threshold (most + 1 if none is), found by bisection with the same
-        # division.  The quotient shrinks as most grows, so the limit grows
-        # with most, and a pair's limit is the larger of its two strings'.
-        limits = {}
-        for length in {*map(len, src_strings), *map(len, columns)}:
-            most = max(length, 1)  # most.__rtruediv__(d) is d / most
-            limits[length] = bisect_right(range(most + 1), max_norm_dist, key=most.__rtruediv__)
-        src_limits = [limits[len(a)] for a in src_strings]
+        # A pair at distance d is forbidden when d over the longer string's
+        # length (1 for two empty strings) is above max_norm_dist.
+        src_lengths = list(map(len, src_strings))
+        column_max = []
         allowed = []  # (source string, distance) of each allowed cell, by column
-        for b, column in zip(columns, by_column):
-            limit = limits[len(b)]
-            allowed.append([(a, d) for a, (d, src_limit) in enumerate(zip(column, src_limits))
-                            if d < limit or d < src_limit])
+        for b, column in zip(columns, zip(*table)):
+            most = max(len(b), 1)
+            column_max.append(max(column))
+            allowed.append([(a, d) for a, (d, la) in enumerate(zip(column, src_lengths))
+                            if not d / (la if la > most else most) > max_norm_dist])
     out = []
     for dst in dsts:
         m = len(dst)
@@ -202,10 +192,7 @@ def align_leaves_batch(
             continue
         dst_ids = [columns[b] for b in dst]
         # Composite integer cost: edit distance first, |i - j| as tie-breaker.
-        # Every allowed cost is below ``forbidden``, which is taken from this
-        # correction's own strings.
         shift_unit = min(n, m) * max(n, m) + 1
-        forbidden = (max(map(column_max.__getitem__, dst_ids)) + 1) * shift_unit * min(n, m) + 1
         cost = []
         if max_norm_dist is None:
             # ramp[n - 1 - i : n - 1 - i + m] is |i - j| for j in range(m).
@@ -213,7 +200,11 @@ def align_leaves_batch(
             scaled_rows = [[row[b] * shift_unit for b in dst_ids] for row in table]
             for i, a in enumerate(src_ids):
                 cost.append(list(map(add, scaled_rows[a], ramp[n - 1 - i : n - 1 - i + m])))
+            pairs = _assign(cost)
         else:
+            # Every allowed cost is below ``forbidden``, which is taken from
+            # this correction's own strings.
+            forbidden = (max(column_max[b] for b in dst_ids) + 1) * shift_unit * min(n, m) + 1
             cells: list[list[tuple[int, int]]] = [[] for _ in src_strings]
             for j, b in enumerate(dst_ids):
                 for a, d in allowed[b]:
@@ -223,7 +214,7 @@ def align_leaves_batch(
                 for j, scaled in cells[a]:
                     row[j] = scaled + abs(i - j)
                 cost.append(row)
-        pairs = [(i, j) for i, j in _assign(cost) if cost[i][j] < forbidden]
+            pairs = [(i, j) for i, j in _assign(cost) if cost[i][j] < forbidden]
         out.append(LeafAlignment(_canonicalize(pairs, cost)))
     return out
 
@@ -441,21 +432,3 @@ def _targets(g: SemanticGraph) -> list[tuple[str, int]]:
     for _, u, yu in sorted((-yu.bit_count(), u, yu) for u, yu in g._yields.items() if yu):
         candidates.setdefault(yu, u)
     return [(u, yu) for yu, u in candidates.items()]
-
-
-def format_alignment_dump(
-    source_tokens: Sequence[str],
-    correction_tokens: Sequence[str],
-    leaf_alignment: LeafAlignment,
-    node_alignment: NodeAlignment,
-) -> str:
-    """Human-readable diagnostic listing of leaf pairs with their costs and
-    of node pairs, in stable order."""
-    lines = ["# leaf pairs (source_index, correction_index, source, correction, cost)"]
-    for i, j in sorted(leaf_alignment.pairs):
-        cost = edit_distance(source_tokens[i], correction_tokens[j])
-        lines.append(f"{i}\t{j}\t{source_tokens[i]}\t{correction_tokens[j]}\t{cost}")
-    lines.append(f"# node pairs ({node_alignment.direction}): aligned, target")
-    for v, u in node_alignment.mapping:
-        lines.append(f"{v}\t{u}")
-    return "\n".join(lines) + "\n"

@@ -17,7 +17,6 @@ from semfaith import (
     align_leaves,
     edit_distance,
     extend_alignment,
-    format_alignment_dump,
 )
 
 
@@ -227,15 +226,3 @@ def test_extend_deterministic():
     a_l = align_leaves(SOURCE_TOKENS, CORRECTION_TOKENS)
     runs = {extend_alignment(g_c, g_s, a_l, C_TO_S).mapping for _ in range(3)}
     assert len(runs) == 1
-
-
-def test_alignment_dump_format():
-    g_s = fig1_source()
-    g_c = fig1_correction()
-    a_l = align_leaves(SOURCE_TOKENS, CORRECTION_TOKENS)
-    na = extend_alignment(g_s, g_c, a_l, S_TO_C)
-    dump = format_alignment_dump(SOURCE_TOKENS, CORRECTION_TOKENS, a_l, na)
-    assert "gve\tgave\t1" in dump
-    assert "pp\tw2" in dump.splitlines()
-    # stable output
-    assert dump == format_alignment_dump(SOURCE_TOKENS, CORRECTION_TOKENS, a_l, na)

@@ -260,7 +260,8 @@ def test_batch_alignment_equals_alignment_per_correction(seed):
     the token lengths L, 0, NaN, inf and a negative value.  The solver is
     handed the same cost matrices too: the alignment does not depend on the
     value of the forbidden cost, as long as it is above every total of
-    allowed cells, but the composite costs do."""
+    allowed cells (``test_alignment_does_not_depend_on_the_forbidden_cost``
+    in ``test_oracles.py``), but the composite costs do."""
     rng = random.Random(seed)
     source = recased(rng, random_tokens(rng))
     corrections = [edited(rng, source) for _ in range(rng.randint(1, 4))]

@@ -138,6 +138,30 @@ def test_canonicalize_equals_sorted(n, m, high, seed):
     assert _canonicalize(pairs, cost) == canonicalize_sorted(pairs, dist, pruned)
 
 
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 3),
+       st.sampled_from((0.0, 0.25, 0.5, 0.75, 0.9)), seeds)
+@settings(max_examples=500, deadline=None)
+def test_alignment_does_not_depend_on_the_forbidden_cost(n, m, high, rate, seed):
+    """Composite costs as ``align_leaves`` builds them under a threshold,
+    with up to 90% of the cells forbidden.  Any forbidden cost above every
+    total of allowed cells (here F, the one ``align_leaves`` would take, and
+    three larger ones) gives the same assignment, and the same pairs once
+    the forbidden ones are dropped and the rest canonicalized."""
+    rng = random.Random(seed)
+    dist = [[rng.randint(0, high) for _ in range(m)] for _ in range(n)]
+    pruned = [[rng.random() < rate for _ in range(m)] for _ in range(n)]
+    shift_unit = min(n, m) * max(n, m) + 1
+    forbidden = (high + 1) * shift_unit * min(n, m) + 1
+    outcomes = []
+    for f in (forbidden, forbidden + 1, 2 * forbidden, 1000 * forbidden + 13):
+        cost = [[f if pruned[i][j] else dist[i][j] * shift_unit + abs(i - j)
+                 for j in range(m)] for i in range(n)]
+        assigned = _assign(cost)
+        kept = [(i, j) for i, j in assigned if cost[i][j] < f]
+        outcomes.append((assigned, _canonicalize(kept, cost)))
+    assert outcomes == [outcomes[0]] * len(outcomes)
+
+
 @given(seeds)
 @settings(max_examples=300, deadline=None)
 def test_align_leaves_equals_loops(seed):
