@@ -388,20 +388,19 @@ def extend_alignment(
     """
     if direction not in (S_TO_C, C_TO_S):
         raise ValueError(f"unknown direction {direction!r}")
-    if direction == S_TO_C:
-        token_map = leaf_alignment.source_to_correction()
-    else:
-        token_map = leaf_alignment.correction_to_source()
+    pairs = leaf_alignment.pairs
+    if direction == C_TO_S:
+        pairs = [(j, i) for i, j in pairs]
+    aligned_leaves = g_aligned._leaves
     target_leaves = g_target._leaves
 
     # partners[v]: the target tokens aligned to v's yield, as a bitmask
     partners = dict.fromkeys(g_aligned._yields, 0)
     mapping: list[tuple[str, str]] = []
-    for a, leaf in g_aligned._leaves.items():
-        b = token_map.get(a)
-        if b is not None:
-            partners[leaf] = 1 << b
-            mapping.append((leaf, target_leaves[b]))
+    for a, b in pairs:
+        leaf = aligned_leaves[a]
+        partners[leaf] = 1 << b
+        mapping.append((leaf, target_leaves[b]))
 
     targets = _targets(g_target)
     children = g_aligned._children

@@ -148,15 +148,19 @@ def _write_report(args: argparse.Namespace, header: list[str], rows: list[list],
             sys.stdout.write(text)
             sys.stdout.flush()
     except OSError as exc:
-        if args.out is None and sys.stdout is not None:
-            # Whatever the failed write left in the buffer goes to the null
-            # device when it is flushed again on the way out, so that flush
-            # cannot fail too.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
         where = "standard output" if args.out is None else args.out
         raise OutputError(f"cannot write {where}: {exc.strerror}") from exc
+
+
+def _warn(line: str) -> None:
+    """Write ``line`` to standard error and flush it.  A line that cannot be
+    written is lost: when descriptor 2 was closed at startup (``sys.stderr``
+    is None), or when the write fails."""
+    if sys.stderr is not None:
+        try:
+            print(line, file=sys.stderr, flush=True)
+        except OSError:
+            pass
 
 
 def _score_kwargs(args: argparse.Namespace) -> dict:
@@ -257,9 +261,9 @@ def _paired_corpora(source_path: str, correction_path: str):
     only_s = sorted(set(sources) - set(corrections))
     only_c = sorted(set(corrections) - set(sources))
     for pair_id in only_s:
-        print(f"warning: id {pair_id!r} present only in source corpus", file=sys.stderr)
+        _warn(f"warning: id {pair_id!r} present only in source corpus")
     for pair_id in only_c:
-        print(f"warning: id {pair_id!r} present only in correction corpus", file=sys.stderr)
+        _warn(f"warning: id {pair_id!r} present only in correction corpus")
     if not shared:
         raise PairingError("no graph ids shared between the two corpora")
     return [(pair_id, sources[pair_id], corrections[pair_id]) for pair_id in shared]
@@ -577,27 +581,19 @@ def main(argv: list[str] | None = None) -> int:
                 raise GraphFormatError(f"cannot read {name.replace('_', ' ')}: the path is empty")
         return args.func(args)
     except tuple(EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _warn(f"error: {exc}")
         return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
 def run() -> None:
-    """The process entry of the ``semfaith`` command: ``main()``, then, once
-    standard output and standard error are flushed, ``os._exit`` with its
-    exit code, which skips interpreter teardown.  Nothing is lost by that:
-    the package registers no exit handler and every file it opens is closed
-    before ``main`` returns.  A flush that fails leaves through ``sys.exit``
-    instead, whose teardown reports the failure as it would without this
-    function.  An exception, or argparse's ``SystemExit``, leaves ``main``
-    as usual."""
-    code = main()
-    try:
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:  # None when the descriptor was closed at startup
-                stream.flush()
-    except OSError:
-        sys.exit(code)
-    os._exit(code)
+    """The process entry of the ``semfaith`` command: ``os._exit`` with the
+    exit code of ``main()``, which skips interpreter teardown.  Nothing is
+    lost by that: ``_write_report`` flushes the report, ``_warn`` flushes
+    each line of standard error, the package registers no exit handler, and
+    every file it opens is closed before ``main`` returns.  What a failed
+    report write left in the buffer is dropped.  An exception, or
+    argparse's ``SystemExit``, leaves ``main`` as usual."""
+    os._exit(main())
 
 
 if __name__ == "__main__":

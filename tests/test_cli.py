@@ -1741,15 +1741,20 @@ def test_failed_fork_scores_in_process(tmp_path, monkeypatch, call, failure):
 # -- the process entry ---------------------------------------------------------
 
 
-def cli_process(argv, stdout=subprocess.PIPE, **env):
-    """``python -m semfaith.cli argv`` run to its end, its standard error
-    (and standard output, unless ``stdout`` is given) captured.  The
-    child's environment is this one's, without ``PYTHONUNBUFFERED`` unless
-    ``env`` sets it."""
+def cli_env(**env):
+    """This process's environment, without ``PYTHONUNBUFFERED`` unless
+    ``env`` sets it, and with its import path."""
     environ = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     environ.update(env, PYTHONPATH=os.pathsep.join(sys.path))
-    return subprocess.run([sys.executable, "-m", "semfaith.cli", *argv], env=environ,
-                          stdout=stdout, stderr=subprocess.PIPE)
+    return environ
+
+
+def cli_process(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **env):
+    """``python -m semfaith.cli argv`` run to its end, its standard error
+    and standard output captured unless ``stderr`` or ``stdout`` is given.
+    The child's environment is ``cli_env(**env)``."""
+    return subprocess.run([sys.executable, "-m", "semfaith.cli", *argv], env=cli_env(**env),
+                          stdout=stdout, stderr=stderr)
 
 
 def exit_path_argv(case, fig1_files, tmp_path):
@@ -1852,6 +1857,71 @@ def test_report_to_stdout_closed_at_startup(fig1_files):
     run = stdout_closed_at_startup(["score", *fig1_files])
     assert (run.returncode, run.stderr) == (
         2, b"error: cannot write standard output: Bad file descriptor\n")
+
+
+def stderr_closed_at_startup(argv, **env):
+    """``python -m semfaith.cli argv`` started with descriptor 2 closed,
+    where ``sys.stderr`` is None, its standard output captured.  The
+    environment is ``cli_env(**env)``."""
+    return subprocess.run(
+        ["sh", "-c", 'exec "$0" "$@" 2>&-', sys.executable, "-m", "semfaith.cli", *argv],
+        env=cli_env(**env), stdout=subprocess.PIPE)
+
+
+def broken_stderr_process(argv, where, unbuffered):
+    """``python -m semfaith.cli argv`` with a standard error that takes no
+    line: ``/dev/full``, a pipe whose read end is closed, or descriptor 2
+    closed at startup.  Its standard output is captured."""
+    env = {"PYTHONUNBUFFERED": "1"} if unbuffered else {}
+    if where == "closed":
+        return stderr_closed_at_startup(argv, **env)
+    if where == "/dev/full":
+        with open("/dev/full", "wb") as full:
+            return cli_process(argv, stderr=full, **env)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return cli_process(argv, stderr=write_end, **env)
+    finally:
+        os.close(write_end)
+
+
+BROKEN_STDERR = [
+    pytest.param("/dev/full", marks=pytest.mark.skipif(
+        not Path("/dev/full").is_char_device(),
+        reason="needs /dev/full, whose every write fails with ENOSPC")),
+    "reader gone",
+    "closed",
+]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("where", BROKEN_STDERR)
+def test_error_line_lost_keeps_the_exit_code(where, unbuffered, fig1_files, tmp_path):
+    """A missing input exits 3 whether or not its error line can be
+    written, and the line never reaches standard output."""
+    run = broken_stderr_process(["score", str(tmp_path / "missing.json"), fig1_files[1]],
+                                where, unbuffered)
+    assert (run.returncode, run.stdout) == (3, b"")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("where", BROKEN_STDERR)
+def test_warning_lost_keeps_the_report(where, unbuffered, tmp_path):
+    """A corpus with an id that only the source has warns and still writes
+    its report.  When the warning cannot be written, the exit code and
+    the report bytes are those of a run with standard error to a file, so
+    no warning line reaches standard output."""
+    argv = ["corpus", *corpus_dirs(tmp_path, [("a", fig1_source("a"), fig1_correction("a")),
+                                              ("b", fig1_source("b"), None)])]
+    with open(tmp_path / "err.txt", "wb") as err:
+        expected = cli_process(argv, stderr=err)
+    assert (tmp_path / "err.txt").read_bytes() == (
+        b"warning: id 'b' present only in source corpus\n")
+    assert expected.returncode == 0
+    assert expected.stdout.startswith(b"id\t") and b"\na\t" in expected.stdout
+    run = broken_stderr_process(argv, where, unbuffered)
+    assert (run.returncode, run.stdout) == (0, expected.stdout)
 
 
 def test_cli_import_registers_no_exit_handler():
