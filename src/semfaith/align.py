@@ -174,11 +174,9 @@ def align_leaves_batch(
         # A pair at distance d is forbidden when d over the longer string's
         # length (1 for two empty strings) is above max_norm_dist.
         src_lengths = list(map(len, src_strings))
-        column_max = []
         allowed = []  # (source string, distance) of each allowed cell, by column
         for b, column in zip(columns, zip(*table)):
             most = max(len(b), 1)
-            column_max.append(max(column))
             allowed.append([(a, d) for a, (d, la) in enumerate(zip(column, src_lengths))
                             if not d / (la if la > most else most) > max_norm_dist])
     out = []
@@ -202,9 +200,11 @@ def align_leaves_batch(
                 cost.append(list(map(add, scaled_rows[a], ramp[n - 1 - i : n - 1 - i + m])))
             pairs = _assign(cost)
         else:
-            # Every allowed cost is below ``forbidden``, which is taken from
-            # this correction's own strings.
-            forbidden = (max(column_max[b] for b in dst_ids) + 1) * shift_unit * min(n, m) + 1
+            # A distance is at most the longer string's length, so with L the
+            # longest string of the source and this correction, min(n, m)
+            # allowed cells, each at most L * shift_unit + |i - j|, cost less
+            # in total than one forbidden cell.
+            forbidden = (max([*src_lengths, *map(len, dst)]) + 1) * shift_unit * min(n, m) + 1
             cells: list[list[tuple[int, int]]] = [[] for _ in src_strings]
             for j, b in enumerate(dst_ids):
                 for a, d in allowed[b]:

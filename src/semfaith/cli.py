@@ -50,7 +50,7 @@ class WorkerError(RuntimeError):
 
 class OutputError(Exception):
     """The report or manifest could not be written to ``--out``, or the
-    report to standard output."""
+    report or the help to standard output."""
 
 
 # The exit code of each error that main reports; argparse exits 2 on a bad flag.
@@ -138,27 +138,33 @@ def _write_report(args: argparse.Namespace, header: list[str], rows: list[list],
     else:
         lines = ["\t".join(_tsv_field(column, value) for column, value in zip(header, row))
                  for row in [header, *rows]]
-    text = "\n".join(lines) + "\n"
+    _write_text("\n".join(lines) + "\n", args.out)
+
+
+def _write_text(text: str, out: str | None = None) -> None:
+    """Write ``text`` to the file ``out``, or to standard output when it is
+    None, and flush it.  A write that fails, to either, raises
+    ``OutputError``."""
     try:
-        if args.out is not None:
-            Path(args.out).write_bytes(text.encode("utf-8"))
+        if out is not None:
+            Path(out).write_bytes(text.encode("utf-8"))
         elif sys.stdout is None:  # descriptor 1 was closed at startup
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         else:
             sys.stdout.write(text)
             sys.stdout.flush()
     except OSError as exc:
-        where = "standard output" if args.out is None else args.out
+        where = "standard output" if out is None else out
         raise OutputError(f"cannot write {where}: {exc.strerror}") from exc
 
 
-def _warn(line: str) -> None:
-    """Write ``line`` to standard error and flush it.  A line that cannot be
+def _warn(text: str) -> None:
+    """Write ``text`` to standard error and flush it.  Text that cannot be
     written is lost: when descriptor 2 was closed at startup (``sys.stderr``
     is None), or when the write fails."""
     if sys.stderr is not None:
         try:
-            print(line, file=sys.stderr, flush=True)
+            print(text, end="", file=sys.stderr, flush=True)
         except OSError:
             pass
 
@@ -261,9 +267,9 @@ def _paired_corpora(source_path: str, correction_path: str):
     only_s = sorted(set(sources) - set(corrections))
     only_c = sorted(set(corrections) - set(sources))
     for pair_id in only_s:
-        _warn(f"warning: id {pair_id!r} present only in source corpus")
+        _warn(f"warning: id {pair_id!r} present only in source corpus\n")
     for pair_id in only_c:
-        _warn(f"warning: id {pair_id!r} present only in correction corpus")
+        _warn(f"warning: id {pair_id!r} present only in correction corpus\n")
     if not shared:
         raise PairingError("no graph ids shared between the two corpora")
     return [(pair_id, sources[pair_id], corrections[pair_id]) for pair_id in shared]
@@ -504,8 +510,25 @@ def cmd_maege_score(args: argparse.Namespace) -> int:
 # -- parser ----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that writes as the commands do: help through
+    ``_write_text`` to standard output, usage and error text through
+    ``_warn``.  Its subparsers are of this class too."""
+
+    def print_help(self, file=None) -> None:
+        _write_text(self.format_help())
+
+    def print_usage(self, file=None) -> None:
+        _warn(self.format_usage())
+
+    def exit(self, status=0, message=None):
+        if message:
+            _warn(message)
+        sys.exit(status)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="semfaith",
         description="Reference-less semantic faithfulness scoring between "
         "source and correction semantic graphs.",
@@ -574,26 +597,31 @@ _INPUT_PATHS = ("source", "correction", "edit_corpus", "manifest", "graphs", "gr
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         for name in _INPUT_PATHS:
             if getattr(args, name, None) == "":
                 raise GraphFormatError(f"cannot read {name.replace('_', ' ')}: the path is empty")
         return args.func(args)
     except tuple(EXIT_CODES) as exc:
-        _warn(f"error: {exc}")
+        _warn(f"error: {exc}\n")
         return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
 def run() -> None:
     """The process entry of the ``semfaith`` command: ``os._exit`` with the
-    exit code of ``main()``, which skips interpreter teardown.  Nothing is
-    lost by that: ``_write_report`` flushes the report, ``_warn`` flushes
-    each line of standard error, the package registers no exit handler, and
-    every file it opens is closed before ``main`` returns.  What a failed
-    report write left in the buffer is dropped.  An exception, or
-    argparse's ``SystemExit``, leaves ``main`` as usual."""
-    os._exit(main())
+    exit code of ``main()``, or of argparse's ``SystemExit``, which skips
+    interpreter teardown.  Nothing is lost by that: ``_write_report`` and
+    the help flush standard output, ``_warn`` flushes standard error, the
+    package registers no exit handler, and every file it opens is closed
+    before ``main`` returns.  What a failed write left in a buffer is
+    dropped, where teardown would try it again and exit 120.  Any other
+    exception leaves ``main`` as usual."""
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse: 0 after the help, 2 on a bad flag
+        code = exc.code
+    os._exit(code)
 
 
 if __name__ == "__main__":

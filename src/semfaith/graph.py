@@ -200,17 +200,8 @@ class SemanticGraph(_GraphFields):
 
     # -- queries ----------------------------------------------------------
 
-    def children_of(self, node_id: str) -> tuple[str, ...]:
-        if node_id not in self._children:
-            raise KeyError(f"graph {self.id!r}: unknown node {node_id!r}")
-        return tuple(self._children[node_id])
-
     def token_texts(self, lowercase: bool = False) -> list[str]:
         return [t.lower() for t in self.tokens] if lowercase else list(self.tokens)
-
-    def anchored_leaves(self) -> dict[int, str]:
-        """Token index -> id of the leaf anchoring it."""
-        return dict(self._leaves)
 
 
 def yield_of(g: SemanticGraph, node_id: str) -> frozenset[int]:

@@ -105,7 +105,7 @@ def _descendants_closure(g: SemanticGraph, nid: str) -> set[str]:
     frontier = [nid]
     while frontier:
         cur = frontier.pop()
-        for child in g.children_of(cur):
+        for child in g._children[cur]:
             if child not in seen:
                 seen.add(child)
                 frontier.append(child)
@@ -118,7 +118,7 @@ def add_random_remotes(rng: random.Random, g: SemanticGraph, max_remotes=2,
     from semfaith import yield_of
 
     for _ in range(rng.randint(0, max_remotes)):
-        internal = sorted(n.id for n in g.nodes if g.children_of(n.id))
+        internal = sorted(n.id for n in g.nodes if g._children[n.id])
         rng.shuffle(internal)
         existing = {(e.parent, e.child) for e in g.edges}
         placed = False

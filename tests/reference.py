@@ -115,7 +115,7 @@ def extend_alignment_scan(
     else:
         token_map = leaf_alignment.correction_to_source()
     oriented_pairs = sorted(token_map.items())
-    target_leaves = g_target.anchored_leaves()
+    target_leaves = g_target._leaves
     mapping = []
     for node in g_aligned.nodes:
         if node.anchor is not None:
@@ -123,7 +123,7 @@ def extend_alignment_scan(
             if partner is not None:
                 mapping.append((node.id, target_leaves[partner]))
             continue
-        if not g_aligned.children_of(node.id):
+        if not g_aligned._children[node.id]:
             continue  # implicit unit
         best = None
         for target_node in g_target.nodes:

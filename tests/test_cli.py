@@ -1834,12 +1834,13 @@ def test_report_to_a_pipe_closed_before_the_write(unbuffered, fig1_files):
     assert run.stderr == b"error: cannot write standard output: Broken pipe\n"
 
 
-def stdout_closed_at_startup(argv):
+def stdout_closed_at_startup(argv, **env):
     """``python -m semfaith.cli argv`` started with descriptor 1 closed,
-    where ``sys.stdout`` is None, its standard error captured."""
+    where ``sys.stdout`` is None, its standard error captured.  The
+    environment is ``cli_env(**env)``."""
     return subprocess.run(
         ["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m", "semfaith.cli", *argv],
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)), capture_output=True)
+        env=cli_env(**env), stderr=subprocess.PIPE)
 
 
 def test_out_with_stdout_closed_at_startup(fig1_files, tmp_path):
@@ -1886,7 +1887,9 @@ def broken_stderr_process(argv, where, unbuffered):
         os.close(write_end)
 
 
-BROKEN_STDERR = [
+# A standard error or output that takes no text, as ``broken_stderr_process``
+# and ``broken_stdout_process`` name it.
+BROKEN_STREAMS = [
     pytest.param("/dev/full", marks=pytest.mark.skipif(
         not Path("/dev/full").is_char_device(),
         reason="needs /dev/full, whose every write fails with ENOSPC")),
@@ -1896,7 +1899,7 @@ BROKEN_STDERR = [
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("where", BROKEN_STDERR)
+@pytest.mark.parametrize("where", BROKEN_STREAMS)
 def test_error_line_lost_keeps_the_exit_code(where, unbuffered, fig1_files, tmp_path):
     """A missing input exits 3 whether or not its error line can be
     written, and the line never reaches standard output."""
@@ -1906,7 +1909,52 @@ def test_error_line_lost_keeps_the_exit_code(where, unbuffered, fig1_files, tmp_
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("where", BROKEN_STDERR)
+@pytest.mark.parametrize("where", BROKEN_STREAMS)
+def test_usage_lost_keeps_the_exit_code(where, unbuffered, fig1_files):
+    """A bad flag exits 2 whether or not argparse's usage and error lines
+    can be written, and they never reach standard output."""
+    run = broken_stderr_process(["score", *fig1_files, "--bogus"], where, unbuffered)
+    assert (run.returncode, run.stdout) == (2, b"")
+
+
+def broken_stdout_process(argv, where, unbuffered):
+    """``python -m semfaith.cli argv`` with a standard output that takes no
+    text: ``/dev/full``, a pipe whose read end is closed, or descriptor 1
+    closed at startup.  Its standard error is captured."""
+    env = {"PYTHONUNBUFFERED": "1"} if unbuffered else {}
+    if where == "closed":
+        return stdout_closed_at_startup(argv, **env)
+    if where == "/dev/full":
+        with open("/dev/full", "wb") as full:
+            return cli_process(argv, stdout=full, **env)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return cli_process(argv, stdout=write_end, **env)
+    finally:
+        os.close(write_end)
+
+
+# The reason in the error line of a write to each stream of BROKEN_STREAMS.
+BROKEN_STREAM_ERRORS = {
+    "/dev/full": "No space left on device",
+    "reader gone": "Broken pipe",
+    "closed": "Bad file descriptor",
+}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("where", BROKEN_STREAMS)
+def test_help_write_failure_exits_2(where, unbuffered):
+    """Help that cannot be written to standard output is reported as a
+    report would be: one error line and exit 2, buffered or not."""
+    run = broken_stdout_process(["--help"], where, unbuffered)
+    assert (run.returncode, run.stderr) == (
+        2, f"error: cannot write standard output: {BROKEN_STREAM_ERRORS[where]}\n".encode())
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("where", BROKEN_STREAMS)
 def test_warning_lost_keeps_the_report(where, unbuffered, tmp_path):
     """A corpus with an id that only the source has warns and still writes
     its report.  When the warning cannot be written, the exit code and

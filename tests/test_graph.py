@@ -152,11 +152,6 @@ def test_yield_of_unknown_node():
         yield_of(fig1_source(), "nope")
 
 
-def test_children_of_unknown_node():
-    with pytest.raises(KeyError, match="graph 'fig1': unknown node 'nope'"):
-        fig1_source().children_of("nope")
-
-
 def test_implicit_unit_has_empty_yield():
     g = make_graph(
         "g", ["a"],
@@ -287,8 +282,8 @@ def test_yield_edge_subset_property():
         for e in g.edges:
             assert yield_of(g, e.child) <= yield_of(g, e.parent)
         child_union = frozenset().union(
-            *(yield_of(g, c) for c in g.children_of(g.root))
-        ) if g.children_of(g.root) else frozenset()
+            *(yield_of(g, c) for c in g._children[g.root])
+        ) if g._children[g.root] else frozenset()
         assert yield_of(g, g.root) == child_union
 
 
@@ -324,7 +319,7 @@ def corrupt(kind: str, rng: random.Random, g: SemanticGraph) -> tuple:
     at a random place."""
     tokens, nodes, edges, root = list(g.tokens), list(g.nodes), list(g.edges), g.root
     ids = [n.id for n in nodes]
-    internal = [nid for nid in ids if g.children_of(nid)]
+    internal = [nid for nid in ids if g._children[nid]]
     leaves = [n for n in nodes if n.anchor is not None]
 
     def add_edge(parent: str, child: str) -> None:

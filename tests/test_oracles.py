@@ -144,16 +144,19 @@ def test_canonicalize_equals_sorted(n, m, high, seed):
 def test_alignment_does_not_depend_on_the_forbidden_cost(n, m, high, rate, seed):
     """Composite costs as ``align_leaves`` builds them under a threshold,
     with up to 90% of the cells forbidden.  Any forbidden cost above every
-    total of allowed cells (here F, the one ``align_leaves`` would take, and
-    three larger ones) gives the same assignment, and the same pairs once
-    the forbidden ones are dropped and the rest canonicalized."""
+    total of allowed cells gives the same assignment, and the same pairs
+    once the forbidden ones are dropped and the rest canonicalized.  The
+    costs tried: the smallest, from the largest distance of the matrix; F,
+    from ``high``, a bound on every distance as the longest string's length
+    is in ``align_leaves``; and three larger ones."""
     rng = random.Random(seed)
     dist = [[rng.randint(0, high) for _ in range(m)] for _ in range(n)]
     pruned = [[rng.random() < rate for _ in range(m)] for _ in range(n)]
     shift_unit = min(n, m) * max(n, m) + 1
+    smallest = (max(map(max, dist)) + 1) * shift_unit * min(n, m) + 1
     forbidden = (high + 1) * shift_unit * min(n, m) + 1
     outcomes = []
-    for f in (forbidden, forbidden + 1, 2 * forbidden, 1000 * forbidden + 13):
+    for f in (smallest, forbidden, forbidden + 1, 2 * forbidden, 1000 * forbidden + 13):
         cost = [[f if pruned[i][j] else dist[i][j] * shift_unit + abs(i - j)
                  for j in range(m)] for i in range(n)]
         assigned = _assign(cost)

@@ -48,7 +48,7 @@ def averages(g_s: SemanticGraph, g_c: SemanticGraph) -> list:
 def parent_edges(g: SemanticGraph) -> dict[int, tuple[str, frozenset[str]]]:
     """Token index -> (parent, labels) of the edge into the leaf anchoring it."""
     into = {e.child: (e.parent, e.labels) for e in g.edges}
-    return {i: into[leaf] for i, leaf in g.anchored_leaves().items()}
+    return {i: into[leaf] for i, leaf in g._leaves.items()}
 
 
 def swapped(g: SemanticGraph, i: int, j: int) -> SemanticGraph:
@@ -95,7 +95,7 @@ def test_a_deleted_word_lowers_the_score(seed):
     rng = random.Random(seed)
     g = random_tree_graph(rng, "s", max_tokens=10)
     k = rng.randrange(len(g.tokens))
-    leaf = g.anchored_leaves()[k]
+    leaf = g._leaves[k]
     nodes = tuple(n._replace(anchor=n.anchor - 1) if n.anchor is not None and n.anchor > k
                   else n for n in g.nodes if n.id != leaf)
     c = g._replace(id="c", tokens=g.tokens[:k] + g.tokens[k + 1:], nodes=nodes,
