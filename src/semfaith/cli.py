@@ -25,9 +25,9 @@ from .harness import (
     HarnessError,
     build_chains,
     chain_scores,
-    emit_manifest,
     load_chain_graphs,
     load_manifest,
+    manifest_text,
     type_deltas,
 )
 from .measures import (
@@ -480,10 +480,7 @@ def cmd_distsim(args: argparse.Namespace) -> int:
 
 def cmd_maege_gen(args: argparse.Namespace) -> int:
     chains = build_chains(args.edit_corpus, args.seed, args.pin_source)
-    try:
-        emit_manifest(chains, args.out)
-    except OSError as exc:
-        raise OutputError(f"cannot write {args.out}: {exc.strerror}") from exc
+    _write_text(manifest_text(chains), args.out)
     return EXIT_OK
 
 

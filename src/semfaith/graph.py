@@ -61,11 +61,14 @@ class SemanticGraph(_GraphFields):
     ``_yields`` (node id -> token bitmask, every child before its parents),
     ``_children`` (node id -> child ids), ``_leaves`` (token index ->
     anchoring leaf id) and ``_instances`` (the sorted single-label edge
-    instances, primary edges only at index 0 and all edges at index 1)."""
+    instances, primary edges only at index 0 and all edges at index 1).
+    ``__new__`` runs ``_validate`` in one ``located`` block, which names
+    the graph in every validation error: ``graph '<id>': …``."""
 
     def __new__(cls, id, tokens, nodes, edges, root):
         self = super().__new__(cls, id, tokens, nodes, edges, root)
-        self._validate()
+        with located(f"graph {id!r}", GraphValidationError):
+            self._validate()
         return self
 
     @classmethod
@@ -75,22 +78,20 @@ class SemanticGraph(_GraphFields):
     # -- construction-time validation ------------------------------------
 
     def _validate(self) -> None:
-        gid, tokens, nodes, edges, root = self
+        _, tokens, nodes, edges, root = self
         if not all(tokens):
             i = next(i for i, tok in enumerate(tokens) if not tok)
-            raise GraphValidationError(f"graph {gid!r}: token {i} has empty text")
+            raise GraphValidationError(f"token {i} has empty text")
 
         anchors = dict(nodes)  # node id -> anchor
         if len(anchors) != len(nodes):
             ids = [n.id for n in nodes]
             dup = sorted({x for x in ids if ids.count(x) > 1})
-            raise GraphValidationError(f"graph {gid!r}: duplicate node ids {dup}")
+            raise GraphValidationError(f"duplicate node ids {dup}")
         if not all(anchors):
-            raise GraphValidationError(f"graph {gid!r}: empty node id")
+            raise GraphValidationError("empty node id")
         if root not in anchors:
-            raise GraphValidationError(
-                f"graph {gid!r}: root {root!r} is not a declared node"
-            )
+            raise GraphValidationError(f"root {root!r} is not a declared node")
 
         children: dict[str, list[str]] = {nid: [] for nid in anchors}
         incoming = dict.fromkeys(anchors, 0)
@@ -99,27 +100,21 @@ class SemanticGraph(_GraphFields):
             if parent not in anchors or child not in anchors:
                 endpoint = child if parent in anchors else parent
                 raise GraphValidationError(
-                    f"graph {gid!r}: edge {parent!r}->{child!r} "
-                    f"references undeclared node {endpoint!r}"
-                )
+                    f"edge {parent!r}->{child!r} references undeclared node {endpoint!r}")
             if parent == child:
-                raise GraphValidationError(f"graph {gid!r}: self-loop on node {parent!r}")
+                raise GraphValidationError(f"self-loop on node {parent!r}")
             if not labels:
-                raise GraphValidationError(
-                    f"graph {gid!r}: edge {parent!r}->{child!r} has no labels"
-                )
+                raise GraphValidationError(f"edge {parent!r}->{child!r} has no labels")
             children[parent].append(child)
             incoming[child] += 1
             for label in labels:
                 instances.append((parent, child, label, remote))
 
         if incoming[root]:
-            raise GraphValidationError(
-                f"graph {gid!r}: root {root!r} has an incoming edge"
-            )
+            raise GraphValidationError(f"root {root!r} has an incoming edge")
         if list(incoming.values()).count(0) != 1:
             nid = next(nid for nid, count in incoming.items() if nid != root and not count)
-            raise GraphValidationError(f"graph {gid!r}: node {nid!r} has no incoming edge")
+            raise GraphValidationError(f"node {nid!r} has no incoming edge")
 
         # anchors: bijection between anchored nodes and token indices
         leaves: dict[int, str] = {}
@@ -127,24 +122,16 @@ class SemanticGraph(_GraphFields):
             if anchor is None:
                 continue
             if not 0 <= anchor < len(tokens):
-                raise GraphValidationError(
-                    f"graph {gid!r}: node {nid!r} anchors out-of-range token {anchor}"
-                )
+                raise GraphValidationError(f"node {nid!r} anchors out-of-range token {anchor}")
             if anchor in leaves:
                 raise GraphValidationError(
-                    f"graph {gid!r}: token {anchor} anchored by both "
-                    f"{leaves[anchor]!r} and {nid!r}"
-                )
+                    f"token {anchor} anchored by both {leaves[anchor]!r} and {nid!r}")
             if children[nid]:
-                raise GraphValidationError(
-                    f"graph {gid!r}: anchored node {nid!r} has outgoing edges"
-                )
+                raise GraphValidationError(f"anchored node {nid!r} has outgoing edges")
             leaves[anchor] = nid
         if len(leaves) != len(tokens):
             missing = [i for i in range(len(tokens)) if i not in leaves]
-            raise GraphValidationError(
-                f"graph {gid!r}: tokens {missing} are not anchored by any leaf"
-            )
+            raise GraphValidationError(f"tokens {missing} are not anchored by any leaf")
 
         # One depth-first pass from the root, children in list order: a back
         # edge is a cycle, and a node's yield is set once its children are
@@ -159,8 +146,7 @@ class SemanticGraph(_GraphFields):
                 if kid in yields:
                     continue
                 if kid in path:
-                    raise GraphValidationError(
-                        f"graph {gid!r}: cycle through edge {nid!r}->{kid!r}")
+                    raise GraphValidationError(f"cycle through edge {nid!r}->{kid!r}")
                 if children[kid]:
                     path.add(kid)
                     stack.append((kid, iter(children[kid])))
@@ -177,8 +163,7 @@ class SemanticGraph(_GraphFields):
                 yields[nid] = acc
         if len(yields) != len(anchors):
             unreachable = sorted(nid for nid in anchors if nid not in yields)
-            raise GraphValidationError(
-                f"graph {gid!r}: nodes unreachable from root: {unreachable}")
+            raise GraphValidationError(f"nodes unreachable from root: {unreachable}")
 
         # instances sorted by (parent, child, label), built by tuple.__new__ for
         # speed; two edges between two nodes share a label only if one is remote
@@ -187,8 +172,7 @@ class SemanticGraph(_GraphFields):
         if len(set(everything)) != len(everything):
             ordered = sorted(everything)
             p, c, label, _ = next(a for a, b in zip(ordered, ordered[1:]) if a == b)
-            raise GraphValidationError(
-                f"graph {gid!r}: edges {p!r}->{c!r} repeat label {label!r}")
+            raise GraphValidationError(f"edges {p!r}->{c!r} repeat label {label!r}")
         primary = everything
         if any(e.remote for e in edges):
             primary = tuple(inst for inst in everything if not inst.remote)
@@ -417,9 +401,8 @@ def read_corpus(path: str | Path) -> dict[str, SemanticGraph]:
     for where, text in documents:
         with located(where, GraphFormatError, GraphValidationError):
             g = parse_graph(text)
-        if g.id in corpus:
-            raise GraphFormatError(
-                f"{where}: duplicate graph id {g.id!r}, first read at {first[g.id]}")
+            if g.id in corpus:
+                raise GraphFormatError(f"duplicate graph id {g.id!r}, first read at {first[g.id]}")
         corpus[g.id] = g
         first[g.id] = where
     return corpus

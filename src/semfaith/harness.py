@@ -345,10 +345,17 @@ def _check_replay(
     _check_token_strings(f"version {version_id(sid, 0)!r} tokens", versions[0], edits)
 
 
+def manifest_text(chains: Sequence[VersionChain]) -> str:
+    """The manifest of ``chains`` as ``maege gen`` writes it: indented JSON
+    with sorted keys and raw non-ASCII text, ending in a newline."""
+    return json.dumps(manifest_to_dict(chains), ensure_ascii=False, sort_keys=True,
+                      indent=1) + "\n"
+
+
 def emit_manifest(chains: Sequence[VersionChain], path: str | Path) -> None:
-    text = json.dumps(manifest_to_dict(chains), ensure_ascii=False, sort_keys=True, indent=1)
-    data = (text + "\n").encode("utf-8")  # before the file is created
-    Path(path).write_bytes(data)
+    """Write ``manifest_text(chains)`` to ``path`` as UTF-8, encoded before
+    the file is created."""
+    Path(path).write_bytes(manifest_text(chains).encode("utf-8"))
 
 
 def load_manifest(path: str | Path) -> list[VersionChain]:

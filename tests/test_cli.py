@@ -1818,77 +1818,30 @@ def test_piped_report_equals_out_file(command, tmp_path):
     assert piped.stdout == out.read_bytes() != b""
 
 
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-def test_report_to_a_pipe_closed_before_the_write(unbuffered, fig1_files):
-    """The reader of standard output is gone before the report is written.
-    Buffered or not, the run says so in one error line and exits 2, as for
-    an ``--out`` that cannot be written."""
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        env = {"PYTHONUNBUFFERED": "1"} if unbuffered else {}
-        run = cli_process(["score", *fig1_files], stdout=write_end, **env)
-    finally:
-        os.close(write_end)
-    assert run.returncode == 2
-    assert run.stderr == b"error: cannot write standard output: Broken pipe\n"
-
-
-def stdout_closed_at_startup(argv, **env):
-    """``python -m semfaith.cli argv`` started with descriptor 1 closed,
-    where ``sys.stdout`` is None, its standard error captured.  The
-    environment is ``cli_env(**env)``."""
-    return subprocess.run(
-        ["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m", "semfaith.cli", *argv],
-        env=cli_env(**env), stderr=subprocess.PIPE)
-
-
-def test_out_with_stdout_closed_at_startup(fig1_files, tmp_path):
-    """Started with descriptor 1 closed, a run that writes its report to
-    ``--out`` still exits 0."""
-    out = tmp_path / "report.tsv"
-    run = stdout_closed_at_startup(["score", *fig1_files, "--out", str(out)])
-    assert (run.returncode, run.stderr) == (0, b"")
-    assert out.read_text() == GOLDEN["score", "tsv"]
-
-
-def test_report_to_stdout_closed_at_startup(fig1_files):
-    """Started with descriptor 1 closed, a run that writes its report to
-    standard output says so in one error line and exits 2."""
-    run = stdout_closed_at_startup(["score", *fig1_files])
-    assert (run.returncode, run.stderr) == (
-        2, b"error: cannot write standard output: Bad file descriptor\n")
-
-
-def stderr_closed_at_startup(argv, **env):
-    """``python -m semfaith.cli argv`` started with descriptor 2 closed,
-    where ``sys.stderr`` is None, its standard output captured.  The
-    environment is ``cli_env(**env)``."""
-    return subprocess.run(
-        ["sh", "-c", 'exec "$0" "$@" 2>&-', sys.executable, "-m", "semfaith.cli", *argv],
-        env=cli_env(**env), stdout=subprocess.PIPE)
-
-
-def broken_stderr_process(argv, where, unbuffered):
-    """``python -m semfaith.cli argv`` with a standard error that takes no
-    line: ``/dev/full``, a pipe whose read end is closed, or descriptor 2
-    closed at startup.  Its standard output is captured."""
+def broken_stream_process(argv, stream, where, unbuffered):
+    """``python -m semfaith.cli argv`` whose ``stream``, ``"stdout"`` or
+    ``"stderr"``, takes no text: ``/dev/full``, a pipe whose read end is
+    closed, or its descriptor closed at startup, where ``sys.stdout`` or
+    ``sys.stderr`` is None.  The other stream is captured."""
     env = {"PYTHONUNBUFFERED": "1"} if unbuffered else {}
     if where == "closed":
-        return stderr_closed_at_startup(argv, **env)
+        descriptor = 1 if stream == "stdout" else 2
+        return subprocess.run(["sh", "-c", f'exec "$0" "$@" {descriptor}>&-', sys.executable,
+                               "-m", "semfaith.cli", *argv],
+                              env=cli_env(**env), capture_output=True)
     if where == "/dev/full":
         with open("/dev/full", "wb") as full:
-            return cli_process(argv, stderr=full, **env)
+            return cli_process(argv, **{stream: full}, **env)
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        return cli_process(argv, stderr=write_end, **env)
+        return cli_process(argv, **{stream: write_end}, **env)
     finally:
         os.close(write_end)
 
 
-# A standard error or output that takes no text, as ``broken_stderr_process``
-# and ``broken_stdout_process`` name it.
+# A standard error or output that takes no text, as ``broken_stream_process``
+# names it.
 BROKEN_STREAMS = [
     pytest.param("/dev/full", marks=pytest.mark.skipif(
         not Path("/dev/full").is_char_device(),
@@ -1899,12 +1852,40 @@ BROKEN_STREAMS = [
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_report_to_a_pipe_closed_before_the_write(unbuffered, fig1_files):
+    """The reader of standard output is gone before the report is written.
+    Buffered or not, the run says so in one error line and exits 2, as for
+    an ``--out`` that cannot be written."""
+    run = broken_stream_process(["score", *fig1_files], "stdout", "reader gone", unbuffered)
+    assert run.returncode == 2
+    assert run.stderr == b"error: cannot write standard output: Broken pipe\n"
+
+
+def test_out_with_stdout_closed_at_startup(fig1_files, tmp_path):
+    """Started with descriptor 1 closed, a run that writes its report to
+    ``--out`` still exits 0."""
+    out = tmp_path / "report.tsv"
+    run = broken_stream_process(["score", *fig1_files, "--out", str(out)], "stdout", "closed",
+                                False)
+    assert (run.returncode, run.stderr) == (0, b"")
+    assert out.read_text() == GOLDEN["score", "tsv"]
+
+
+def test_report_to_stdout_closed_at_startup(fig1_files):
+    """Started with descriptor 1 closed, a run that writes its report to
+    standard output says so in one error line and exits 2."""
+    run = broken_stream_process(["score", *fig1_files], "stdout", "closed", False)
+    assert (run.returncode, run.stderr) == (
+        2, b"error: cannot write standard output: Bad file descriptor\n")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("where", BROKEN_STREAMS)
 def test_error_line_lost_keeps_the_exit_code(where, unbuffered, fig1_files, tmp_path):
     """A missing input exits 3 whether or not its error line can be
     written, and the line never reaches standard output."""
-    run = broken_stderr_process(["score", str(tmp_path / "missing.json"), fig1_files[1]],
-                                where, unbuffered)
+    run = broken_stream_process(["score", str(tmp_path / "missing.json"), fig1_files[1]],
+                                "stderr", where, unbuffered)
     assert (run.returncode, run.stdout) == (3, b"")
 
 
@@ -1913,26 +1894,8 @@ def test_error_line_lost_keeps_the_exit_code(where, unbuffered, fig1_files, tmp_
 def test_usage_lost_keeps_the_exit_code(where, unbuffered, fig1_files):
     """A bad flag exits 2 whether or not argparse's usage and error lines
     can be written, and they never reach standard output."""
-    run = broken_stderr_process(["score", *fig1_files, "--bogus"], where, unbuffered)
+    run = broken_stream_process(["score", *fig1_files, "--bogus"], "stderr", where, unbuffered)
     assert (run.returncode, run.stdout) == (2, b"")
-
-
-def broken_stdout_process(argv, where, unbuffered):
-    """``python -m semfaith.cli argv`` with a standard output that takes no
-    text: ``/dev/full``, a pipe whose read end is closed, or descriptor 1
-    closed at startup.  Its standard error is captured."""
-    env = {"PYTHONUNBUFFERED": "1"} if unbuffered else {}
-    if where == "closed":
-        return stdout_closed_at_startup(argv, **env)
-    if where == "/dev/full":
-        with open("/dev/full", "wb") as full:
-            return cli_process(argv, stdout=full, **env)
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        return cli_process(argv, stdout=write_end, **env)
-    finally:
-        os.close(write_end)
 
 
 # The reason in the error line of a write to each stream of BROKEN_STREAMS.
@@ -1948,7 +1911,7 @@ BROKEN_STREAM_ERRORS = {
 def test_help_write_failure_exits_2(where, unbuffered):
     """Help that cannot be written to standard output is reported as a
     report would be: one error line and exit 2, buffered or not."""
-    run = broken_stdout_process(["--help"], where, unbuffered)
+    run = broken_stream_process(["--help"], "stdout", where, unbuffered)
     assert (run.returncode, run.stderr) == (
         2, f"error: cannot write standard output: {BROKEN_STREAM_ERRORS[where]}\n".encode())
 
@@ -1968,7 +1931,7 @@ def test_warning_lost_keeps_the_report(where, unbuffered, tmp_path):
         b"warning: id 'b' present only in source corpus\n")
     assert expected.returncode == 0
     assert expected.stdout.startswith(b"id\t") and b"\na\t" in expected.stdout
-    run = broken_stderr_process(argv, where, unbuffered)
+    run = broken_stream_process(argv, "stderr", where, unbuffered)
     assert (run.returncode, run.stdout) == (0, expected.stdout)
 
 
