@@ -453,8 +453,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
 
 def _load_groups(path: str) -> list[tuple[str, frozenset[str]]]:
     doc = parse_json(read_utf8(path, GraphFormatError), GraphFormatError, f"groups file {path}")
-    if not isinstance(doc, dict) or not all(
-            isinstance(k, str) and is_str_list(v) for k, v in doc.items()):
+    if not isinstance(doc, dict) or not all(map(is_str_list, doc.values())):
         raise GraphFormatError(
             f"groups file {path}: expected an object mapping names to label lists"
         )

@@ -1,9 +1,11 @@
 """Sensitivity harness: apply typed edits in sampled orders, emit a parse
 manifest for an external parser, then aggregate per-edit-type score deltas.
 
-The pipeline is split in two phases.  ``build_chain``/``emit_manifest`` work
-on text only and produce every intermediate sentence version; an external
-semantic parser turns versions into graphs.  ``maege score`` calls
+The pipeline is split in two phases.  ``build_chain`` works on text only and
+produces every intermediate sentence version; an external semantic parser
+turns versions into graphs.  The manifest joins the phases, and it has one
+writer, ``manifest_text`` (``emit_manifest`` writes that text to a file),
+and one reader, ``load_manifest``.  ``maege score`` calls
 ``chain_scores(chain, load_chain_graphs(graphs_dir, chain))`` for each chain
 and averages the score change per edit type with ``type_deltas``;
 ``compute_deltas`` does the same from graphs already parsed, by version id.
@@ -250,38 +252,45 @@ def build_chains(
     return chains
 
 
-def manifest_to_dict(chains: Sequence[VersionChain]) -> dict:
+def manifest_text(chains: Sequence[VersionChain]) -> str:
+    """The manifest of ``chains`` as ``maege gen`` writes it: indented JSON
+    with sorted keys and raw non-ASCII text, ending in a newline.  It holds
+    a ``versions`` list, one ``{version_id, tokens}`` record per version of
+    every chain, and a ``chains`` list, one record per chain that names its
+    versions by ``version_ids``."""
     versions = []
     chain_docs = []
     for chain in chains:
         vids = [version_id(chain.sentence_id, k) for k in range(len(chain.versions))]
-        for vid, tokens in zip(vids, chain.versions):
-            versions.append({"version_id": vid, "tokens": list(tokens)})
-        chain_docs.append(
-            {
-                "sentence_id": chain.sentence_id,
-                "seed": chain.seed,
-                "order": list(chain.order),
-                "source_index": chain.source_index,
-                "version_ids": vids,
-                "edits": [
-                    {
-                        "start": e.start,
-                        "end": e.end,
-                        "replacement": list(e.replacement),
-                        "type": e.edit_type,
-                    }
-                    for e in chain.edits
-                ],
-            }
-        )
-    return {"versions": versions, "chains": chain_docs}
+        versions += ({"version_id": vid, "tokens": tokens}
+                     for vid, tokens in zip(vids, chain.versions))
+        chain_docs.append({
+            "sentence_id": chain.sentence_id, "seed": chain.seed, "order": chain.order,
+            "source_index": chain.source_index, "version_ids": vids,
+            "edits": [{"start": e.start, "end": e.end, "replacement": e.replacement,
+                       "type": e.edit_type} for e in chain.edits],
+        })
+    doc = {"versions": versions, "chains": chain_docs}
+    return json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=1) + "\n"
 
 
-def chains_from_manifest(doc: dict) -> list[VersionChain]:
-    """The chains of a manifest document.  An error in a version or a chain
-    names it by its ``version_id`` or its ``sentence_id`` once that is read,
-    and by its index (``versions[0]``, ``chains[0]``) before."""
+def emit_manifest(chains: Sequence[VersionChain], path: str | Path) -> None:
+    """Write ``manifest_text(chains)`` to ``path`` as UTF-8, encoded before
+    the file is created."""
+    Path(path).write_bytes(manifest_text(chains).encode("utf-8"))
+
+
+def load_manifest(path: str | Path) -> list[VersionChain]:
+    """The chains of the manifest at ``path``.  An error in a version or a
+    chain names it by its ``version_id`` or its ``sentence_id`` once that is
+    read, and by its index (``versions[0]``, ``chains[0]``) before.
+
+    Each chain must be what ``maege gen`` would record: ``order`` permutes
+    the edit indices, applying the edits in that order to the first version
+    gives every version, ``source_index`` names one of them, ``seed`` is an
+    integer, and neither the first version nor an edit's replacement holds
+    an empty token string."""
+    doc = parse_json(read_utf8(path, HarnessError), HarnessError, str(path))
     seen: set[str] = set()
     tokens_by_vid: dict[str, tuple[str, ...]] = {}
     chains = []
@@ -312,55 +321,19 @@ def chains_from_manifest(doc: dict) -> list[VersionChain]:
                 order, source_index, seed = (
                     require_field(c, key, HarnessError)
                     for key in ("order", "source_index", "seed"))
-                _check_replay(sid, versions, edits, order, source_index, seed)
+                if (not isinstance(order, list) or not all(map(is_int, order))
+                        or sorted(order) != list(range(len(edits)))):
+                    raise HarnessError(f"order {order!r} is not a permutation of the edit indices")
+                if not versions or tuple(
+                        apply_edits_in_order(versions[0], edits, order)) != versions:
+                    raise HarnessError("versions do not replay from the edits in order")
+                if not is_int(source_index) or not 0 <= source_index < len(versions):
+                    raise HarnessError(f"source_index {source_index!r} is not a version index")
+                if not is_int(seed):
+                    raise HarnessError(f"seed {seed!r} is not an integer")
+                _check_token_strings(f"version {vids[0]!r} tokens", versions[0], edits)
                 chains.append(VersionChain(sid, seed, tuple(order), versions, source_index, edits))
     return chains
-
-
-def _check_replay(
-    sid: str,
-    versions: tuple[tuple[str, ...], ...],
-    edits: tuple[EditOperation, ...],
-    order,
-    source_index,
-    seed,
-) -> None:
-    """Check that a manifest chain is what ``maege gen`` would record:
-    ``order`` permutes the edit indices, applying the edits in that order
-    to the first version gives every version, ``source_index`` names one of
-    them, ``seed`` is an integer, and neither the first version nor an
-    edit's replacement holds an empty token string."""
-    if (
-        not isinstance(order, list)
-        or not all(is_int(k) for k in order)
-        or sorted(order) != list(range(len(edits)))
-    ):
-        raise HarnessError(f"order {order!r} is not a permutation of the edit indices")
-    if not versions or tuple(apply_edits_in_order(versions[0], edits, order)) != versions:
-        raise HarnessError("versions do not replay from the edits in order")
-    if not is_int(source_index) or not 0 <= source_index < len(versions):
-        raise HarnessError(f"source_index {source_index!r} is not a version index")
-    if not is_int(seed):
-        raise HarnessError(f"seed {seed!r} is not an integer")
-    _check_token_strings(f"version {version_id(sid, 0)!r} tokens", versions[0], edits)
-
-
-def manifest_text(chains: Sequence[VersionChain]) -> str:
-    """The manifest of ``chains`` as ``maege gen`` writes it: indented JSON
-    with sorted keys and raw non-ASCII text, ending in a newline."""
-    return json.dumps(manifest_to_dict(chains), ensure_ascii=False, sort_keys=True,
-                      indent=1) + "\n"
-
-
-def emit_manifest(chains: Sequence[VersionChain], path: str | Path) -> None:
-    """Write ``manifest_text(chains)`` to ``path`` as UTF-8, encoded before
-    the file is created."""
-    Path(path).write_bytes(manifest_text(chains).encode("utf-8"))
-
-
-def load_manifest(path: str | Path) -> list[VersionChain]:
-    doc = parse_json(read_utf8(path, HarnessError), HarnessError, str(path))
-    return chains_from_manifest(doc)
 
 
 # -- delta aggregation -----------------------------------------------------

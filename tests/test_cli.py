@@ -1281,15 +1281,24 @@ def test_maege_score_rejects_mistyped_edit_fields(edit_corpus, tmp_path, field, 
         f"error: bad manifest: chain 's1': edit {message}, not {mistyped_values(edit, field)}\n")
 
 
+# Explicit ids keep the case names short.
 @pytest.mark.parametrize(
     "key, value, message",
-    [("order", [5], "not a permutation"),
-     ("order", [0, 0], "not a permutation"),
-     ("order", [False, True], "not a permutation"),
-     ("source_index", 9, "not a version index"),
-     ("source_index", True, "not a version index"),
-     ("version_ids", [], "do not replay"),
-     ("tokens", "She", "do not replay")],
+    [pytest.param("order", [5], "order [5] is not a permutation of the edit indices",
+                  id="order-value0-not a permutation"),
+     pytest.param("order", [0, 0], "order [0, 0] is not a permutation of the edit indices",
+                  id="order-value1-not a permutation"),
+     pytest.param("order", [False, True],
+                  "order [False, True] is not a permutation of the edit indices",
+                  id="order-value2-not a permutation"),
+     pytest.param("source_index", 9, "source_index 9 is not a version index",
+                  id="source_index-9-not a version index"),
+     pytest.param("source_index", True, "source_index True is not a version index",
+                  id="source_index-True-not a version index"),
+     pytest.param("version_ids", [], "versions do not replay from the edits in order",
+                  id="version_ids-value5-do not replay"),
+     pytest.param("tokens", "She", "versions do not replay from the edits in order",
+                  id="tokens-She-do not replay")],
 )
 def test_maege_score_rejects_chain_that_does_not_replay(edit_corpus, tmp_path, key, value,
                                                         message, capsys):
@@ -1303,7 +1312,7 @@ def test_maege_score_rejects_chain_that_does_not_replay(edit_corpus, tmp_path, k
 
     manifest = _manifest_with_graphs(edit_corpus, tmp_path, change)
     assert main(["maege", "score", manifest, str(tmp_path)]) == 3
-    assert message in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: bad manifest: chain 's1': {message}\n"
 
 
 def test_maege_score_rejects_version_ids_it_does_not_read(edit_corpus, tmp_path, capsys):

@@ -18,7 +18,7 @@ from fig1 import fig1_correction, fig1_source
 from helpers_build import graph_from_nested
 from semfaith import EditOperation, build_chain, graph_to_dict
 from semfaith.cli import main
-from semfaith.harness import manifest_to_dict
+from semfaith.harness import manifest_text
 
 EXIT_CODES = {0, 3, 4, 5}
 OTHER_VALUES = [None, True, 0, -1, 2.5, "", "x", "\ud800", [], ["x"], {}, {"x": 1}]
@@ -42,12 +42,12 @@ EDIT_RECORDS = [
     {"sentence_id": "s2", "tokens": ["a", "b"],
      "edits": [{"start": 0, "end": 1, "replacement": [], "type": "Nn"}]},
 ]
-MANIFEST = manifest_to_dict([
+MANIFEST = json.loads(manifest_text([
     build_chain(r["sentence_id"], r["tokens"],
                 [EditOperation(e["start"], e["end"], tuple(e["replacement"]), e["type"])
                  for e in r["edits"]], seed=7)
     for r in EDIT_RECORDS
-])
+]))
 GROUPS = {"relators": ["R"], "A+D": ["A", "D"]}
 # Python's own texts for a subscript or iteration of the wrong type, which
 # an error message about an edit record or a manifest must not show.

@@ -185,6 +185,12 @@ def test_build_chain_pinned_source():
         build_chain("s1", ["a"], [], seed=0, pin_source_index=3)
 
 
+# Text that JSON escapes, or that other line readers end a line at.  A
+# token is never empty, and a sentence id holds no "/", "\\" or U+0000.
+HARD_WORDS = ["é", "日本語", 'say "hi"', "back\\slash", "next\u0085line", "para\u2028sep", "😀"]
+HARD_IDS = ["é", '"q"', "a\u0085b", "c\u2028d", "日本"]
+
+
 def test_manifest_roundtrip(tmp_path):
     rng = random.Random(4)
     chains = []
@@ -192,13 +198,26 @@ def test_manifest_roundtrip(tmp_path):
         n = rng.randint(1, 7)
         tokens = [rng.choice(WORDS) for _ in range(n)]
         chains.append(build_chain(f"s{i}", tokens, random_edits(rng, n), seed=77))
+    for i in range(20):
+        n = rng.randint(1, 7)
+        tokens = [rng.choice(HARD_WORDS) for _ in range(n)]
+        edits = [e._replace(replacement=tuple(rng.choice(HARD_WORDS) for _ in e.replacement))
+                 for e in random_edits(rng, n)]
+        chains.append(build_chain(f"{rng.choice(HARD_IDS)}{i}", tokens, edits,
+                                  seed=rng.randint(-10**6, -1),
+                                  pin_source_index=rng.choice([None, 0, len(edits)])))
+    chains += [  # a deletion with the source pinned at K, no edits with it pinned at 0
+        build_chain('é "q"\u0085\u2028', ["a\\b", "c"], [EditOperation(0, 1, (), "U:\u2028")],
+                    seed=-5, pin_source_index=1),
+        build_chain("日本", ["x\u0085y"], [], seed=-1, pin_source_index=0),
+    ]
     path = tmp_path / "manifest.json"
     emit_manifest(chains, path)
     assert load_manifest(path) == chains
     # byte-identical on re-emit
-    text = path.read_text()
+    data = path.read_bytes()
     emit_manifest(load_manifest(path), path)
-    assert path.read_text() == text
+    assert path.read_bytes() == data
 
 
 def test_manifest_no_dedup_across_chains(tmp_path):
