@@ -37,9 +37,6 @@ from .measures import (
     usim,
 )
 
-EXIT_OK = 0
-
-
 class PairingError(ValueError):
     pass
 
@@ -245,7 +242,7 @@ def _add_alignment_flags(parser: argparse.ArgumentParser) -> None:
 # -- subcommands -----------------------------------------------------------
 
 
-def cmd_score(args: argparse.Namespace) -> int:
+def cmd_score(args: argparse.Namespace) -> None:
     g_s = load_graph(args.source)
     g_c = load_graph(args.correction)
     report = usim(g_s, g_c, **_score_kwargs(args))
@@ -257,7 +254,6 @@ def cmd_score(args: argparse.Namespace) -> int:
         + [["average", _fmt(report.average)]],
         [_report_dict(g_s.id, report)],
     )
-    return EXIT_OK
 
 
 def _paired_corpora(source_path: str, correction_path: str):
@@ -432,7 +428,7 @@ def _run_shards(costs: list[int], jobs: int, work) -> list:
     return [results[i] for i in range(len(costs))]
 
 
-def cmd_corpus(args: argparse.Namespace) -> int:
+def cmd_corpus(args: argparse.Namespace) -> None:
     pairs = _paired_corpora(args.source, args.correction)
     kwargs = _score_kwargs(args)
     costs = [len(g_s.tokens) * len(g_c.tokens) for _, g_s, g_c in pairs]
@@ -448,7 +444,6 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         [*map(_report_dict, ids, reports),
          {"aggregate": True, "pairs": n, **dict(zip(_PAIR_COLUMNS[1:], agg))}],
     )
-    return EXIT_OK
 
 
 def _load_groups(path: str) -> list[tuple[str, frozenset[str]]]:
@@ -460,7 +455,7 @@ def _load_groups(path: str) -> list[tuple[str, frozenset[str]]]:
     return [(name, frozenset(labels)) for name, labels in doc.items()]
 
 
-def cmd_distsim(args: argparse.Namespace) -> int:
+def cmd_distsim(args: argparse.Namespace) -> None:
     pairs = _paired_corpora(args.source, args.correction)
     groups = None if args.groups is None else _load_groups(args.groups)
     rows = distsim(
@@ -474,16 +469,14 @@ def cmd_distsim(args: argparse.Namespace) -> int:
         [[row.name, sorted(row.labels), _fmt(row.value), _fmt(row.similarity)]
          for row in rows],
     )
-    return EXIT_OK
 
 
-def cmd_maege_gen(args: argparse.Namespace) -> int:
+def cmd_maege_gen(args: argparse.Namespace) -> None:
     chains = build_chains(args.edit_corpus, args.seed, args.pin_source)
     _write_text(manifest_text(chains), args.out)
-    return EXIT_OK
 
 
-def cmd_maege_score(args: argparse.Namespace) -> int:
+def cmd_maege_score(args: argparse.Namespace) -> None:
     chains = load_manifest(args.manifest)
     kwargs = _score_kwargs(args)
     costs = [
@@ -500,7 +493,6 @@ def cmd_maege_score(args: argparse.Namespace) -> int:
         [[td.edit_type, _fmt(td.delta_mean), td.occurrences]
          for td in type_deltas(chains, scores)],
     )
-    return EXIT_OK
 
 
 # -- parser ----------------------------------------------------------------
@@ -598,7 +590,8 @@ def main(argv: list[str] | None = None) -> int:
         for name in _INPUT_PATHS:
             if getattr(args, name, None) == "":
                 raise GraphFormatError(f"cannot read {name.replace('_', ' ')}: the path is empty")
-        return args.func(args)
+        args.func(args)
+        return 0
     except tuple(EXIT_CODES) as exc:
         _warn(f"error: {exc}\n")
         return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))

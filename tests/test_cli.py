@@ -704,13 +704,42 @@ GOLDEN = {
         '{"delta_mean": "0.3333", "occurrences": 1, "type": "Nn"}\n'
         '{"delta_mean": "0.0000", "occurrences": 1, "type": "ArtOrDet"}\n'
         '{"delta_mean": "0.0000", "occurrences": 1, "type": "Mec"}\n',
+    # The typo pair is at distance 1 over 4 characters: kept at the
+    # threshold 0.25, pruned below it.
+    ("score --lowercase --max-norm-dist 0.25", "tsv"):
+        "direction\tprecision\trecall\tf_score\tmatched_candidate\tcandidate_count"
+        "\tmatched_reference\treference_count\n"
+        "s_to_c\t1.0000\t1.0000\t1.0000\t2\t2\t2\t2\n"
+        "c_to_s\t1.0000\t1.0000\t1.0000\t2\t2\t2\t2\n"
+        "average\t1.0000\n",
+    ("score --lowercase --max-norm-dist 0.2", "tsv"):
+        "direction\tprecision\trecall\tf_score\tmatched_candidate\tcandidate_count"
+        "\tmatched_reference\treference_count\n"
+        "s_to_c\t0.5000\t0.5000\t0.5000\t1\t2\t1\t2\n"
+        "c_to_s\t0.5000\t0.5000\t0.5000\t1\t2\t1\t2\n"
+        "average\t0.5000\n",
+    ("maege score --lowercase --max-norm-dist 0.2", "tsv"):
+        "type\tdelta_mean\toccurrences\n"
+        "Mec\t-0.5000\t1\n",
 }
 
 
 def report_argv(command, fig1_files, edit_corpus, tmp_path):
     """The argv of ``command`` on the fig1 pair (``score``), the corpus of
     pairs a = fig1 and b = fig1 source against itself (``corpus``,
-    ``distsim``), or the ``edit_corpus`` chains at seed 7 (``maege score``)."""
+    ``distsim``), or the ``edit_corpus`` chains at seed 7 (``maege score``).
+    A ``score`` or ``maege score`` with flags runs on the typo "gve" for
+    "gave" instead: flat graphs of "He gave" and "He gve", or the one-edit
+    chain that fixes the typo, with the typo version as its source."""
+    command, _, flags = command.partition(" --")
+    if flags:
+        typo = {"sentence_id": "s1", "tokens": ["He", "gve"],
+                "edits": [{"start": 1, "end": 2, "replacement": ["gave"], "type": "Mec"}]}
+        manifest = _manifest_with_graphs(write_records(tmp_path / "typo.jsonl", [typo]), tmp_path,
+                                         lambda doc: doc["chains"][0].update(source_index=0))
+        inputs = ([tmp_path / "s1.v1.json", tmp_path / "s1.v0.json"] if command == "score"
+                  else [manifest, tmp_path])
+        return [*command.split(), *map(str, inputs), *f"--{flags}".split()]
     if command == "score":
         return ["score", *fig1_files]
     if command == "maege score":
@@ -1772,6 +1801,8 @@ def exit_path_argv(case, fig1_files, tmp_path):
     src, cor = fig1_files
     if case == "score":
         return ["score", src, cor], ""
+    if case == "help":
+        return ["--help"], ""
     if case == "bad flag":
         return ["score", src, cor, "--bogus"], "usage: semfaith"
     if case == "out in missing directory":
@@ -1789,8 +1820,8 @@ def exit_path_argv(case, fig1_files, tmp_path):
 
 
 @pytest.mark.parametrize("case, code", [
-    ("score", 0), ("bad flag", 2), ("out in missing directory", 2), ("malformed", 3),
-    ("validation", 4), ("unpaired", 5),
+    ("score", 0), ("help", 0), ("bad flag", 2), ("out in missing directory", 2),
+    ("malformed", 3), ("validation", 4), ("unpaired", 5),
 ])
 def test_process_ends_with_the_code_and_output_of_main(case, code, fig1_files, tmp_path,
                                                        capsys):
@@ -1860,14 +1891,23 @@ BROKEN_STREAMS = [
 ]
 
 
+# The reason in the error line of a write to each stream of BROKEN_STREAMS.
+BROKEN_STREAM_ERRORS = {
+    "/dev/full": "No space left on device",
+    "reader gone": "Broken pipe",
+    "closed": "Bad file descriptor",
+}
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-def test_report_to_a_pipe_closed_before_the_write(unbuffered, fig1_files):
-    """The reader of standard output is gone before the report is written.
-    Buffered or not, the run says so in one error line and exits 2, as for
-    an ``--out`` that cannot be written."""
-    run = broken_stream_process(["score", *fig1_files], "stdout", "reader gone", unbuffered)
-    assert run.returncode == 2
-    assert run.stderr == b"error: cannot write standard output: Broken pipe\n"
+@pytest.mark.parametrize("where", BROKEN_STREAMS)
+def test_report_to_broken_stdout_exits_2(where, unbuffered, fig1_files):
+    """A report that cannot be written to standard output is reported in
+    one error line and exits 2, buffered or not, as for an ``--out`` that
+    cannot be written."""
+    run = broken_stream_process(["score", *fig1_files], "stdout", where, unbuffered)
+    assert (run.returncode, run.stderr) == (
+        2, f"error: cannot write standard output: {BROKEN_STREAM_ERRORS[where]}\n".encode())
 
 
 def test_out_with_stdout_closed_at_startup(fig1_files, tmp_path):
@@ -1878,14 +1918,6 @@ def test_out_with_stdout_closed_at_startup(fig1_files, tmp_path):
                                 False)
     assert (run.returncode, run.stderr) == (0, b"")
     assert out.read_text() == GOLDEN["score", "tsv"]
-
-
-def test_report_to_stdout_closed_at_startup(fig1_files):
-    """Started with descriptor 1 closed, a run that writes its report to
-    standard output says so in one error line and exits 2."""
-    run = broken_stream_process(["score", *fig1_files], "stdout", "closed", False)
-    assert (run.returncode, run.stderr) == (
-        2, b"error: cannot write standard output: Bad file descriptor\n")
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
@@ -1905,14 +1937,6 @@ def test_usage_lost_keeps_the_exit_code(where, unbuffered, fig1_files):
     can be written, and they never reach standard output."""
     run = broken_stream_process(["score", *fig1_files, "--bogus"], "stderr", where, unbuffered)
     assert (run.returncode, run.stdout) == (2, b"")
-
-
-# The reason in the error line of a write to each stream of BROKEN_STREAMS.
-BROKEN_STREAM_ERRORS = {
-    "/dev/full": "No space left on device",
-    "reader gone": "Broken pipe",
-    "closed": "Bad file descriptor",
-}
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
